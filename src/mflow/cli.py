@@ -2,7 +2,9 @@
 
 Every run resolves its configuration (file + dotted-key overrides), writes
 the resolved config next to its outputs, and is reproducible from that file
-alone. Exit codes: 0 success, 1 usage error, 2 numerical abort, 3 I/O error.
+alone. Exit codes: 0 success, 1 usage error, 2 numerical abort or failed
+verification, 3 I/O error or a checkpoint that is corrupt, truncated, of the
+wrong role, or does not fit the configured dataset.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from .data import (Gen2dDataset, build_sr_pool, gen_2d, write_manifest, write_pgm)
 from .oracle import AnalyticFlow, identity_residual_grid, write_residual_csv
 from .sampling import sr_infer, sample_student, steps_sweep, write_sweep_csv
-from .training import (NumericalAbort, RunConfig, distill_student, load_student,
-                       train_teacher)
+from .training import (CheckpointError, NumericalAbort, RunConfig, check_dataset,
+                       distill_student, load_student, train_teacher)
 
 
 class UsageError(Exception):
@@ -158,6 +160,7 @@ def _cmd_sample(args, config: RunConfig, out: Path) -> int:
     ckpt = args.ckpt or str(out / "student.ckpt")
     student = load_student(ckpt)
     dataset = config.dataset()
+    check_dataset(student, dataset, ckpt)
     rng = np.random.default_rng(config.seed)
     if config.task == "toysr":
         pool = build_sr_pool(dataset, args.n, config.seed + 1)
@@ -182,6 +185,7 @@ def _cmd_eval(args, config: RunConfig, out: Path) -> int:
     ckpt = args.ckpt or str(out / "student.ckpt")
     student = load_student(ckpt)
     dataset = config.dataset()
+    check_dataset(student, dataset, ckpt)
     pool = build_sr_pool(dataset, args.n, config.seed + 1) if config.task == "toysr" else None
     rows = steps_sweep(student, dataset, args.steps, config.seed, args.n, pool=pool)
     write_sweep_csv(out / "sweep.csv", rows)
@@ -229,6 +233,9 @@ def run(argv: list[str]) -> int:
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -41,16 +41,6 @@ class CfgConfig:
         return self.w / (1.0 - self.kappa)
 
 
-@dataclass(frozen=True)
-class TimestepPair:
-    t: float
-    s: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= self.s <= 1.0:
-            raise ValueError(f"need 0 <= t <= s <= 1, got t={self.t}, s={self.s}")
-
-
 @dataclass
 class LossConfig:
     metric: str = "pseudo_huber"  # squared_l2 | pseudo_huber
@@ -81,14 +71,8 @@ def interpolate(z0, z1, t):
     return (1.0 - t) * z0 + t * z1
 
 
-def sample_timesteps(rng: np.random.Generator, ratio_r: float) -> TimestepPair:
-    """Draw t ~ U[0,1]; with probability ratio_r also draw s ~ U[t,1], else s = t."""
-    t, gate, q = rng.random(3)
-    s = t + q * (1.0 - t) if gate < ratio_r else t
-    return TimestepPair(t=float(t), s=float(s))
-
 def sample_timestep_batch(rng: np.random.Generator, n: int, ratio_r: float):
-    """Vectorized draw of n (t, s) pairs with the same law as sample_timesteps."""
+    """n pairs: t ~ U[0,1]; with probability ratio_r s ~ U[t,1], else s = t."""
     t = rng.random(n)
     gate = rng.random(n)
     q = rng.random(n)
@@ -156,12 +140,12 @@ def _student_jvp(student: FieldNet, z, t, s, z_lr, c, v_inst):
     return u, dudt
 
 
-def mfd_target(student: FieldNet, v_inst, z, t, s, z_lr, c) -> Tensor:
-    """Stop-gradded regression target v_inst + (s - t) du/dt."""
+def mfd_target(student: FieldNet, v_inst, z, t, s, z_lr, c) -> tuple[Tensor, Tensor]:
+    """(u(z,t,s), stop-gradded target v_inst + (s - t) du/dt) from one dual pass."""
     v_inst = np.asarray(v_inst, dtype=np.float64)
-    _, dudt = _student_jvp(student, z, t, s, z_lr, c, v_inst)
+    u, dudt = _student_jvp(student, z, t, s, z_lr, c, v_inst)
     gap = np.asarray(s, dtype=np.float64).reshape(-1, 1) - np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    return Tensor(v_inst + gap * dudt)
+    return u, Tensor(v_inst + gap * dudt)
 
 
 def pseudo_huber(a, b, huber_c: float) -> float:
@@ -198,9 +182,8 @@ def mfd_loss(student: FieldNet, teacher, batch, cfg: CfgConfig, loss_cfg: LossCo
     z_t = interpolate(batch.z0, batch.z1, t)
     v_inst = cfg_velocity(teacher, z_t, t, batch.z_lr, batch.labels, cfg,
                           student=student, z0=batch.z0, z1=batch.z1)
-    u_pred, dudt = _student_jvp(student, z_t, t, s, batch.z_lr, batch.labels, v_inst)
-    target = v_inst + (s - t)[:, None] * dudt
-    diff = u_pred - Tensor(target)
+    u_pred, target = mfd_target(student, v_inst, z_t, t, s, batch.z_lr, batch.labels)
+    diff = u_pred - target
     per_sample = (diff * diff).sum(axis=1)
     if loss_cfg.metric == "squared_l2":
         return per_sample.mean()

@@ -1,40 +1,30 @@
 """Velocity networks: teacher v(z, t | lr, c) and student u(z, t, s | lr, c).
 
 Both are MLPs over the concatenation [z, flattened-LR features, condition
-embedding, time embedding]. The student carries a second time embedder for
-the interval end s whose output is added to the t-embedding; its projection
-is zero-initialized so a freshly initialized student reproduces its teacher
-exactly for every s.
+embedding, time embedding]. Every weight lives in ``FieldNet.params``, one
+dict keyed by the checkpoint names ("cond_table", "t_emb.W", "layer0.b",
+...). The student adds a projection of the interval end s ("s_emb.W",
+"s_emb.b") whose output is added to the t-embedding; it is zero-initialized
+so a freshly initialized student reproduces its teacher exactly for every s.
 """
 
 from __future__ import annotations
-
-import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Tensor, concat, gather_rows
 
 
-@dataclass(frozen=True)
-class ConditionLabel:
-    """Discrete stand-in for a text prompt: content class, null, or negative."""
-    id: int
-    role: str = "content"  # content | null | negative
-
-
 class TimeEmbedder:
-    """Sinusoidal time features followed by a trainable linear projection.
+    """Sinusoidal time features.
 
     The scalar time is first scaled by ``c_noise`` (the affine time
-    transform); the raw feature vector is [sin(f_i * c_noise * t),
+    transform); the feature vector is [sin(f_i * c_noise * t),
     cos(f_i * c_noise * t)] with geometrically spaced frequencies, so the
     norm of its time derivative scales exactly linearly in ``c_noise``.
     """
 
-    def __init__(self, dim: int, c_noise: float = 1.0, max_freq: float = 32.0,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, c_noise: float = 1.0, max_freq: float = 32.0):
         if dim % 2 != 0:
             raise ValueError("time embedding dim must be even")
         self.dim = dim
@@ -42,20 +32,11 @@ class TimeEmbedder:
         half = dim // 2
         exponents = np.arange(half) / max(half - 1, 1)
         self.freqs = 2.0 * np.pi * max_freq ** exponents  # (half,)
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.W = Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim)), requires_grad=True)
-        self.b = Tensor(np.zeros((1, dim)), requires_grad=True)
 
     def raw_features(self, t: Tensor) -> Tensor:
         """Sin/cos features of shape (B, dim) for t of shape (B, 1)."""
         arg = t * Tensor(self.c_noise * self.freqs[None, :])
         return concat([arg.sin(), arg.cos()], axis=1)
-
-    def __call__(self, t: Tensor) -> Tensor:
-        return self.raw_features(t) @ self.W + self.b
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"W": self.W, "b": self.b}
 
 
 class FieldNet:
@@ -74,32 +55,38 @@ class FieldNet:
         self.time_dim = time_dim
         self.hidden = tuple(hidden)
         self.seed = seed
+        # one feature map serves t and s: a net has a single c_noise
+        self.time_embedder = TimeEmbedder(time_dim, c_noise=c_noise)
+
+        # a seed's weights depend on the draw order: t-emb, s-emb, cond
+        # table, trunk. ``params`` keeps the checkpoint order instead, which
+        # fixes the summation order of the gradient-norm clip.
         rng = np.random.default_rng(seed)
-
-        self.t_embedder = TimeEmbedder(time_dim, c_noise=c_noise, rng=rng)
-        self.s_embedder = TimeEmbedder(time_dim, c_noise=c_noise, rng=rng) if kind == "student" else None
-
+        emb_shape, emb_scale = (time_dim, time_dim), 1.0 / np.sqrt(time_dim)
+        t_emb_w = rng.normal(0.0, emb_scale, size=emb_shape)
+        s_emb_w = rng.normal(0.0, emb_scale, size=emb_shape) if kind == "student" else None
         # rows: content classes 0..num_content-1, then null, then negative
-        n_rows = num_content + 2
-        self.cond_table = Tensor(rng.normal(0.0, 0.5, size=(n_rows, cond_dim)), requires_grad=True)
-
-        in_dim = z_dim + lr_dim + cond_dim + time_dim
-        self.layers: list[tuple[Tensor, Tensor]] = []
-        dims = [in_dim, *self.hidden, z_dim]
+        weights = {"cond_table": rng.normal(0.0, 0.5, size=(num_content + 2, cond_dim)),
+                   "t_emb.W": t_emb_w, "t_emb.b": np.zeros((1, time_dim))}
+        if kind == "student":
+            weights["s_emb.W"] = s_emb_w
+            weights["s_emb.b"] = np.zeros((1, time_dim))
+        dims = [z_dim + lr_dim + cond_dim + time_dim, *self.hidden, z_dim]
         for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            scale = np.sqrt(2.0 / d_in)
-            w = rng.normal(0.0, scale, size=(d_in, d_out))
+            w = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out))
             if i == len(dims) - 2:
                 w *= 0.1  # small last layer keeps the untrained field tame
-            self.layers.append((Tensor(w, requires_grad=True),
-                                Tensor(np.zeros((1, d_out)), requires_grad=True)))
+            weights[f"layer{i}.W"] = w
+            weights[f"layer{i}.b"] = np.zeros((1, d_out))
         # time-gated linear skip on z (the field's dominant affine-in-z part
         # would otherwise have to squeeze through the trunk bottleneck),
         # plus a direct linear path from the LR features; both zero-init
-        self.gate_W = Tensor(np.zeros((time_dim, z_dim)), requires_grad=True)
-        self.gate_b = Tensor(np.zeros((1, z_dim)), requires_grad=True)
-        self.lrskip_W = (Tensor(np.zeros((lr_dim, z_dim)), requires_grad=True)
-                         if lr_dim > 0 else None)
+        weights["gate.W"] = np.zeros((time_dim, z_dim))
+        weights["gate.b"] = np.zeros((1, z_dim))
+        if lr_dim > 0:
+            weights["lrskip.W"] = np.zeros((lr_dim, z_dim))
+        self.params: dict[str, Tensor] = {name: Tensor(w, requires_grad=True)
+                                          for name, w in weights.items()}
 
     # -- labels ---------------------------------------------------------------
 
@@ -112,75 +99,33 @@ class FieldNet:
         return self.num_content + 1
 
     def label_ids(self, c, batch: int) -> np.ndarray:
-        """Normalize a label spec (ConditionLabel, int, or array) to (B,) ids."""
-        if isinstance(c, ConditionLabel):
-            ids = np.full(batch, self._resolve(c), dtype=np.int64)
-        else:
-            ids = np.broadcast_to(np.asarray(c, dtype=np.int64), (batch,)).copy()
+        """Normalize a label spec (an id or an array of ids) to (B,) ids."""
+        ids = np.broadcast_to(np.asarray(c, dtype=np.int64), (batch,)).copy()
         if ids.min() < 0 or ids.max() >= self.num_content + 2:
             raise ValueError(f"unknown condition id in {np.unique(ids)} "
                              f"(valid: 0..{self.num_content + 1})")
         return ids
 
-    def _resolve(self, c: ConditionLabel) -> int:
-        if c.role == "null":
-            return self.null_id
-        if c.role == "negative":
-            return self.negative_id
-        if not 0 <= c.id < self.num_content:
-            raise ValueError(f"unknown content label id {c.id}")
-        return c.id
-
     # -- parameters -------------------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {"cond_table": self.cond_table}
-        for name, p in self.t_embedder.parameters().items():
-            params[f"t_emb.{name}"] = p
-        if self.s_embedder is not None:
-            for name, p in self.s_embedder.parameters().items():
-                params[f"s_emb.{name}"] = p
-        for i, (w, b) in enumerate(self.layers):
-            params[f"layer{i}.W"] = w
-            params[f"layer{i}.b"] = b
-        params["gate.W"] = self.gate_W
-        params["gate.b"] = self.gate_b
-        if self.lrskip_W is not None:
-            params["lrskip.W"] = self.lrskip_W
-        return params
+        return self.params
 
     def set_parameter(self, name: str, value: Tensor) -> None:
-        if name == "cond_table":
-            self.cond_table = value
-        elif name.startswith("t_emb."):
-            setattr(self.t_embedder, name.split(".", 1)[1], value)
-        elif name.startswith("s_emb."):
-            if self.s_embedder is None:
-                raise KeyError(name)
-            setattr(self.s_embedder, name.split(".", 1)[1], value)
-        elif name.startswith("layer"):
-            idx, field = name[5:].split(".")
-            w, b = self.layers[int(idx)]
-            self.layers[int(idx)] = (value, b) if field == "W" else (w, value)
-        elif name == "gate.W":
-            self.gate_W = value
-        elif name == "gate.b":
-            self.gate_b = value
-        elif name == "lrskip.W":
-            if self.lrskip_W is None:
-                raise KeyError(name)
-            self.lrskip_W = value
-        else:
-            raise KeyError(name)
+        """Replace one weight; raises KeyError for an unknown name."""
+        shape = self.params[name].shape
+        if value.shape != shape:
+            raise ValueError(f"parameter {name!r} has shape {shape}, got {value.shape}")
+        self.params[name] = value
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
+        return sum(p.size for p in self.params.values())
 
     def config(self) -> dict:
         return {"kind": self.kind, "z_dim": self.z_dim, "lr_dim": self.lr_dim,
                 "num_content": self.num_content, "cond_dim": self.cond_dim,
                 "time_dim": self.time_dim, "hidden": list(self.hidden),
-                "c_noise": self.t_embedder.c_noise, "seed": self.seed}
+                "c_noise": self.time_embedder.c_noise, "seed": self.seed}
 
     @staticmethod
     def from_config(cfg: dict) -> "FieldNet":
@@ -192,21 +137,23 @@ class FieldNet:
 
     def _forward(self, z: Tensor, t: Tensor, z_lr: Tensor, ids: np.ndarray,
                  s: Tensor | None) -> Tensor:
-        time = self.t_embedder(t)
-        if self.s_embedder is not None:
+        p = self.params
+        features = self.time_embedder.raw_features
+        time = features(t) @ p["t_emb.W"] + p["t_emb.b"]
+        if self.kind == "student":
             if s is None:
                 raise ValueError("student forward requires the interval end s")
-            time = time + self.s_embedder(s)
-        cond = gather_rows(self.cond_table, ids)
+            time = time + (features(s) @ p["s_emb.W"] + p["s_emb.b"])
+        cond = gather_rows(p["cond_table"], ids)
         parts = [z, z_lr, cond, time] if self.lr_dim > 0 else [z, cond, time]
         x = concat(parts, axis=1)
-        for w, b in self.layers[:-1]:
-            x = (x @ w + b).silu()
-        w, b = self.layers[-1]
-        out = x @ w + b
-        out = out + (time @ self.gate_W + self.gate_b) * z
-        if self.lrskip_W is not None:
-            out = out + z_lr @ self.lrskip_W
+        last = len(self.hidden)
+        for i in range(last):
+            x = (x @ p[f"layer{i}.W"] + p[f"layer{i}.b"]).silu()
+        out = x @ p[f"layer{last}.W"] + p[f"layer{last}.b"]
+        out = out + (time @ p["gate.W"] + p["gate.b"]) * z
+        if self.lr_dim > 0:
+            out = out + z_lr @ p["lrskip.W"]
         return out
 
 
@@ -250,22 +197,21 @@ def student_forward(net: FieldNet, z, t, s, z_lr, c) -> Tensor:
 
 
 def init_student_from_teacher(teacher: FieldNet) -> FieldNet:
-    """Student clone of the teacher: copied weights, added s-embedder.
+    """Student clone of the teacher: copied weights, added s-embedding.
 
-    The s-embedder duplicates the t-embedder structure with a zero
-    projection, so the s-embedding is a no-op at step 0 and the student
-    matches the teacher exactly. The student time transform is c_noise(t)=t
-    to keep the time derivative (and hence the JVP) well-scaled.
+    The s-embedding projection is zero, so the s-embedding is a no-op at
+    step 0 and the student matches the teacher exactly. The student time
+    transform is c_noise(t)=t to keep the time derivative (and hence the
+    JVP) well-scaled.
     """
     if teacher.kind != "teacher":
         raise ValueError("init_student_from_teacher needs a teacher net")
     student = FieldNet("student", teacher.z_dim, teacher.lr_dim, teacher.num_content,
                        cond_dim=teacher.cond_dim, time_dim=teacher.time_dim,
                        hidden=teacher.hidden, c_noise=1.0, seed=teacher.seed)
-    for name, p in teacher.parameters().items():
+    for name, p in teacher.params.items():
         student.set_parameter(name, Tensor(p.data.copy(), requires_grad=True))
-    student.s_embedder.freqs = teacher.t_embedder.freqs.copy()
-    student.t_embedder.freqs = teacher.t_embedder.freqs.copy()
-    student.s_embedder.W = Tensor(np.zeros((teacher.time_dim, teacher.time_dim)), requires_grad=True)
-    student.s_embedder.b = Tensor(np.zeros((1, teacher.time_dim)), requires_grad=True)
+    for name in ("s_emb.W", "s_emb.b"):
+        student.set_parameter(name, Tensor(np.zeros(student.params[name].shape),
+                                           requires_grad=True))
     return student

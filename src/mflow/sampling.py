@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import GaussianDataset, Gen2dDataset, SrPair, ToySrDataset, from_signal, gen_2d, to_signal
-from .flow import CfgConfig
-from .nets import FieldNet, student_forward, teacher_forward
+from .flow import CfgConfig, _teacher_eval
+from .nets import FieldNet, student_forward
 from .oracle import AnalyticFlow
 
 
@@ -40,14 +40,6 @@ def sample_student(student, z0: np.ndarray, z_lr, c, n_steps: int,
     return (z, states) if record else z
 
 
-def _eval_teacher(teacher, z, t: float, z_lr, c) -> np.ndarray:
-    if isinstance(teacher, FieldNet):
-        if isinstance(c, str):
-            c = teacher.null_id if c == "null" else teacher.negative_id
-        return teacher_forward(teacher, z, t, z_lr, c).data
-    return np.asarray(teacher(z, t, z_lr, c), dtype=np.float64)
-
-
 def sample_teacher_euler(teacher, z0: np.ndarray, z_lr, c, n_steps: int,
                          cfg: CfgConfig | None = None) -> np.ndarray:
     """Euler integration x <- x + (1/N) v(x, t), optionally with teacher CFG."""
@@ -59,10 +51,10 @@ def sample_teacher_euler(teacher, z0: np.ndarray, z_lr, c, n_steps: int,
     h = 1.0 / n_steps
     for i in range(n_steps):
         t = i * h
-        v = _eval_teacher(teacher, z, t, z_lr, c)
+        v = _teacher_eval(teacher, z, t, z_lr, c)
         if cfg is not None and cfg.w != 0.0:
             ref = "null" if cfg.mode == "teacher_null" else "negative"
-            v = v + cfg.w * (v - _eval_teacher(teacher, z, t, z_lr, ref))
+            v = v + cfg.w * (v - _teacher_eval(teacher, z, t, z_lr, ref))
         z = z + h * v
     return z
 

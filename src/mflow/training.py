@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -20,7 +22,16 @@ from .tensor import Tensor
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when a loss or gradient goes non-finite; last checkpoint is kept."""
+    """Raised when a loss or gradient goes non-finite.
+
+    The run stops at that step. Only the checkpoints it already wrote stay:
+    one every ``ckpt_every`` steps, so none with the default ``ckpt_every=0``.
+    """
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that is corrupt, truncated, of the wrong role, or
+    that does not fit the net or dataset it is loaded for."""
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -132,26 +143,50 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; raises CheckpointError unless the file is well formed."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        left = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # every length comes from the file, so check it before reading
+            nonlocal left
+            if n > left:
+                raise CheckpointError(f"{path}: truncated checkpoint "
+                                      f"({n} bytes wanted, {left} left)")
+            left -= n
+            return fh.read(n)
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        if read(4) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        (version,) = unpack("<I")
         if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len))
-        (count,) = struct.unpack("<I", fh.read(4))
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        (meta_len,) = unpack("<I")
+        meta_bytes = read(meta_len)
+        try:
+            meta = json.loads(meta_bytes)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: corrupt metadata ({exc})") from exc
+        (count,) = unpack("<I")
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            dtype, rank = struct.unpack("<BB", fh.read(2))
+            (name_len,) = unpack("<H")
+            name_bytes = read(name_len)
+            try:
+                name = name_bytes.decode()
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: corrupt tensor name ({exc})") from exc
+            dtype, rank = unpack("<BB")
             if dtype != _DTYPE_F64:
-                raise ValueError(f"{path}: unknown dtype code {dtype}")
-            shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-            n = int(np.prod(shape)) if rank else 1
-            arr = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
+                raise CheckpointError(f"{path}: unknown dtype code {dtype}")
+            shape = unpack(f"<{rank}I")
+            arr = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             tensors[name] = arr.astype(np.float64)
+        if left:
+            raise CheckpointError(f"{path}: {left} trailing bytes after the last tensor")
     return tensors, meta
 
 
@@ -175,7 +210,6 @@ class RunConfig:
     batch_size: int = 64
     lr: float = 1e-3
     lr_final: float = 0.0        # <= 0 disables cosine decay
-    paper_lr: float = 5e-5       # reference value from the source setting
     hidden: list = field(default_factory=lambda: [64, 64])
     time_dim: int = 32
     cond_dim: int = 16
@@ -309,12 +343,58 @@ def _save_net_checkpoint(path, net: FieldNet, adam: Adam, config: RunConfig,
 
 def _load_net(path) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
     tensors, meta = load_checkpoint(path)
-    net = FieldNet.from_config(meta["net_config"])
+    try:
+        net = FieldNet.from_config(meta["net_config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad net config ({exc!r})") from exc
     for name in net.parameters():
-        net.set_parameter(name, Tensor(tensors[name].copy(), requires_grad=True))
-    if net.kind == "student":
-        net.s_embedder.freqs = net.t_embedder.freqs.copy()
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        try:
+            net.set_parameter(name, Tensor(tensors[name].copy(), requires_grad=True))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
     return net, tensors, meta
+
+
+def check_dataset(net: FieldNet, dataset, path) -> None:
+    """Refuse a checkpointed net whose shapes do not fit the configured dataset."""
+    if (net.z_dim, net.lr_dim, net.num_content) != (dataset.z_dim, dataset.lr_dim,
+                                                      dataset.num_content):
+        raise CheckpointError(f"{path}: {net.kind} checkpoint does not match the "
+                              f"configured dataset")
+
+
+def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Generator,
+               start: int, out: Path, role: str, next_batch, loss_of) -> Path:
+    """Steps ``start`` .. ``config.steps - 1`` of a run; returns the final checkpoint path.
+
+    ``next_batch(rng)`` builds one step's batch and ``loss_of(batch)`` its
+    loss. The loop owns the rest: lr schedule, finiteness abort, backward,
+    clipping, Adam, the log and the checkpoint cadence.
+    """
+    final = out / f"{role}.ckpt"
+    log = _TrainLog(out / f"{role}_log.csv")
+    try:
+        for step in range(start, config.steps):
+            t0 = time.perf_counter()
+            adam.lr = _lr_at(config, step)
+            loss = loss_of(next_batch(rng))
+            if not np.isfinite(loss.item()):
+                raise NumericalAbort(f"non-finite {role} loss at step {step}")
+            grads = _backward_and_collect(loss, net)
+            norm, _ = clip_gradients(grads, config.grad_clip)
+            for name, p in adam.step(net.parameters(), grads).items():
+                net.set_parameter(name, p)
+            if step % config.log_every == 0 or step == config.steps - 1:
+                log.row(step, loss.item(), norm, (time.perf_counter() - t0) * 1e3)
+            if config.ckpt_every and (step + 1) % config.ckpt_every == 0:
+                _save_net_checkpoint(out / f"{role}_step{step + 1}.ckpt", net,
+                                     adam, config, step + 1, rng, role)
+        _save_net_checkpoint(final, net, adam, config, config.steps, rng, role)
+    finally:
+        log.close()
+    return final
 
 
 def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path:
@@ -332,45 +412,26 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
     else:
         teacher = config.build_teacher()
         rng = np.random.default_rng(config.seed)
-    final = out / "teacher.ckpt"
-    log = _TrainLog(out / "teacher_log.csv")
     neg_prob = config.neg_pair_prob if config.task == "toysr" else 0.0
     pool = _sr_train_pool(config, dataset)
-    try:
-        for step in range(start, config.steps):
-            t0 = time.perf_counter()
-            adam.lr = _lr_at(config, step)
-            batch = make_batch(dataset, config.batch_size, rng,
-                               ratio_r=0.0, neg_pair_prob=neg_prob, pool=pool)
-            loss = rf_loss(teacher, batch)
-            if not np.isfinite(loss.item()):
-                raise NumericalAbort(f"non-finite teacher loss at step {step}")
-            grads = _backward_and_collect(loss, teacher)
-            norm, _ = clip_gradients(grads, config.grad_clip)
-            for name, p in adam.step(teacher.parameters(), grads).items():
-                teacher.set_parameter(name, p)
-            if step % config.log_every == 0 or step == config.steps - 1:
-                log.row(step, loss.item(), norm, (time.perf_counter() - t0) * 1e3)
-            if config.ckpt_every and (step + 1) % config.ckpt_every == 0:
-                _save_net_checkpoint(out / f"teacher_step{step + 1}.ckpt", teacher,
-                                     adam, config, step + 1, rng, "teacher")
-        _save_net_checkpoint(final, teacher, adam, config, config.steps, rng, "teacher")
-    finally:
-        log.close()
-    return final
+    return _run_steps(
+        config, teacher, adam, rng, start, out, "teacher",
+        lambda rng: make_batch(dataset, config.batch_size, rng, ratio_r=0.0,
+                               neg_pair_prob=neg_prob, pool=pool),
+        lambda batch: rf_loss(teacher, batch))
 
 
 def load_teacher(path) -> FieldNet:
     net, _, _ = _load_net(path)
     if net.kind != "teacher":
-        raise ValueError(f"{path} does not hold a teacher checkpoint")
+        raise CheckpointError(f"{path} does not hold a teacher checkpoint")
     return net
 
 
 def load_student(path) -> FieldNet:
     net, _, _ = _load_net(path)
     if net.kind != "student":
-        raise ValueError(f"{path} does not hold a student checkpoint")
+        raise CheckpointError(f"{path} does not hold a student checkpoint")
     return net
 
 
@@ -380,36 +441,16 @@ def distill_student(config: RunConfig, teacher_ckpt, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     teacher = load_teacher(teacher_ckpt)
     ds = config.dataset()
-    if (teacher.z_dim, teacher.lr_dim, teacher.num_content) != (ds.z_dim, ds.lr_dim, ds.num_content):
-        raise ValueError("teacher checkpoint does not match the configured dataset")
+    check_dataset(teacher, ds, teacher_ckpt)
     frozen_digest = params_digest(teacher.parameters())
     student = init_student_from_teacher(teacher)
-    adam = Adam(lr=config.lr)
-    rng = np.random.default_rng(config.seed)
-    log = _TrainLog(out / "student_log.csv")
-    final = out / "student.ckpt"
     pool = _sr_train_pool(config, ds)
-    try:
-        for step in range(config.steps):
-            t0 = time.perf_counter()
-            adam.lr = _lr_at(config, step)
-            batch = make_batch(ds, config.batch_size, rng, ratio_r=config.loss.ratio_r,
-                               pool=pool)
-            loss = mfd_loss(student, teacher, batch, config.cfg, config.loss)
-            if not np.isfinite(loss.item()):
-                raise NumericalAbort(f"non-finite distillation loss at step {step}")
-            grads = _backward_and_collect(loss, student)
-            norm, _ = clip_gradients(grads, config.grad_clip)
-            for name, p in adam.step(student.parameters(), grads).items():
-                student.set_parameter(name, p)
-            if step % config.log_every == 0 or step == config.steps - 1:
-                log.row(step, loss.item(), norm, (time.perf_counter() - t0) * 1e3)
-            if config.ckpt_every and (step + 1) % config.ckpt_every == 0:
-                _save_net_checkpoint(out / f"student_step{step + 1}.ckpt", student,
-                                     adam, config, step + 1, rng, "student")
-        _save_net_checkpoint(final, student, adam, config, config.steps, rng, "student")
-    finally:
-        log.close()
+    final = _run_steps(
+        config, student, Adam(lr=config.lr), np.random.default_rng(config.seed), 0, out,
+        "student",
+        lambda rng: make_batch(ds, config.batch_size, rng, ratio_r=config.loss.ratio_r,
+                               pool=pool),
+        lambda batch: mfd_loss(student, teacher, batch, config.cfg, config.loss))
     if params_digest(teacher.parameters()) != frozen_digest:
         raise RuntimeError("teacher parameters changed during distillation")
     return final

@@ -155,7 +155,7 @@ def test_loss_degeneracies():
     t = rng.random(n)
     lr = np.zeros((n, 0))
 
-    target = mfd_target(student, v, z, t, t, lr, 0)
+    _, target = mfd_target(student, v, z, t, t, lr, 0)
     bitwise = np.array_equal(target.data, v)
 
     batch = make_batch(GaussianDataset(dim=3, mu=np.zeros(3)), n,

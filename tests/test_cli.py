@@ -83,6 +83,48 @@ class TestTrainAndDistill:
         assert a == b
 
 
+class TestBadCheckpoints:
+    """A bad checkpoint is exit code 3 with one stderr line, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        cfg = base_config(root)
+        out = root / "run"
+        assert run(["train-teacher", "--config", cfg, "--out", str(out)]) == 0
+        assert run(["distill", "--config", cfg, "--out", str(out)]) == 0
+        return cfg, out
+
+    @pytest.mark.parametrize("case", ["garbage", "truncated", "teacher", "mismatched"])
+    def test_sample_refuses(self, trained, tmp_path, capsys, case):
+        cfg, out = trained
+        ckpt = tmp_path / "student.ckpt"
+        raw = (out / "student.ckpt").read_bytes()
+        if case == "garbage":
+            ckpt.write_bytes(b"not a checkpoint at all")
+        elif case == "truncated":
+            ckpt.write_bytes(raw[:len(raw) // 2])
+        elif case == "teacher":
+            ckpt = out / "teacher.ckpt"
+        else:
+            ckpt = out / "student.ckpt"
+            cfg = base_config(tmp_path, gauss_mu=[1.0, -0.5, 0.0])
+        capsys.readouterr()
+        code = run(["sample", "--config", cfg, "--out", str(tmp_path / "o"),
+                    "--ckpt", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+    def test_distill_refuses_mismatched_teacher(self, trained, tmp_path, capsys):
+        _, out = trained
+        cfg = base_config(tmp_path, gauss_mu=[1.0, -0.5, 0.0],
+                          teacher_ckpt=str(out / "teacher.ckpt"))
+        code = run(["distill", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "does not match" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_verify_passes_and_writes_grid(self, tmp_path, capsys):
         out = tmp_path / "v"

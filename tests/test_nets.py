@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mflow.nets import (ConditionLabel, FieldNet, TimeEmbedder, init_student_from_teacher,
-                        student_forward, teacher_forward)
+from mflow.nets import (FieldNet, TimeEmbedder, init_student_from_teacher, student_forward,
+                        teacher_forward)
 from mflow.tensor import Tensor
 
 
@@ -66,12 +66,8 @@ class TestFieldNet:
         np.testing.assert_array_equal(net.label_ids(1, 3), [1, 1, 1])
         np.testing.assert_array_equal(net.label_ids([0, 1, 2], 3), [0, 1, 2])  # 2 = null row
         assert net.null_id == 2 and net.negative_id == 3
-        np.testing.assert_array_equal(
-            net.label_ids(ConditionLabel(0, role="negative"), 2), [3, 3])
         with pytest.raises(ValueError):
             net.label_ids(9, 2)
-        with pytest.raises(ValueError):
-            net.label_ids(ConditionLabel(5, role="content"), 1)
 
     def test_config_roundtrip_same_outputs(self):
         net = small_teacher(seed=7)
@@ -87,6 +83,8 @@ class TestFieldNet:
             np.testing.assert_array_equal(net.parameters()[name].data, p.data * 2.0)
         with pytest.raises(KeyError):
             net.set_parameter("nonexistent", Tensor(np.zeros(1)))
+        with pytest.raises(ValueError, match="shape"):
+            net.set_parameter("layer0.W", Tensor(np.zeros((2, 2))))
 
     def test_all_parameters_receive_gradients(self):
         net = small_teacher()

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mflow.flow import CfgConfig, LossConfig
 from mflow.nets import teacher_forward
 from mflow.tensor import Tensor
-from mflow.training import (Adam, NumericalAbort, RunConfig, _lr_at, clip_gradients,
-                            distill_student, load_checkpoint, load_student, load_teacher,
-                            params_digest, save_checkpoint, train_teacher)
+from mflow.training import (Adam, CheckpointError, NumericalAbort, RunConfig, _lr_at,
+                            clip_gradients, distill_student, load_checkpoint, load_student,
+                            load_teacher, params_digest, save_checkpoint, train_teacher)
 
 
 def tiny_config(**kw):
@@ -107,6 +109,61 @@ class TestCheckpointContainer:
         assert params_digest(a) != params_digest(c)
 
 
+class TestCheckpointRejection:
+    @pytest.fixture(scope="class")
+    def teacher_ckpt(self, tmp_path_factory):
+        return train_teacher(tiny_config(steps=2), tmp_path_factory.mktemp("teacher"))
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("corrupt") / "c.ckpt"
+
+    def rewrite(self, src, dst, edit):
+        tensors, meta = load_checkpoint(src)
+        edit(tensors)
+        save_checkpoint(dst, tensors, meta)
+        return dst
+
+    def test_missing_tensor_is_refused(self, teacher_ckpt, tmp_path):
+        path = self.rewrite(teacher_ckpt, tmp_path / "c.ckpt", lambda t: t.pop("gate.b"))
+        with pytest.raises(CheckpointError, match="missing tensor 'gate.b'"):
+            load_teacher(path)
+
+    def test_wrong_shape_is_refused(self, teacher_ckpt, tmp_path):
+        def cut(tensors):
+            tensors["layer0.W"] = tensors["layer0.W"][:, :4]
+
+        path = self.rewrite(teacher_ckpt, tmp_path / "c.ckpt", cut)
+        with pytest.raises(CheckpointError, match="layer0.W"):
+            load_teacher(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(frac=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated_file_is_refused(self, teacher_ckpt, scratch, frac):
+        raw = teacher_ckpt.read_bytes()
+        scratch.write_bytes(raw[:int(frac * len(raw))])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(scratch)
+
+    def test_trailing_bytes_are_refused(self, teacher_ckpt, scratch):
+        scratch.write_bytes(teacher_ckpt.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(scratch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frac=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
+    def test_flipped_byte_loads_or_is_refused(self, teacher_ckpt, scratch, frac, mask):
+        raw = bytearray(teacher_ckpt.read_bytes())
+        raw[int(frac * len(raw))] ^= mask
+        scratch.write_bytes(bytes(raw))
+        try:
+            net = load_teacher(scratch)
+        except CheckpointError:
+            return
+        # a flip inside a value can leave a well-formed file
+        assert net.kind == "teacher"
+
+
 class TestRunConfig:
     def test_rejects_unknown_keys_and_task(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -187,13 +244,13 @@ class TestTrainingLoops:
     def test_loaders_check_role(self, tmp_path):
         t_path = train_teacher(tiny_config(steps=5), tmp_path / "t")
         s_path = distill_student(tiny_config(steps=5), t_path, tmp_path / "s")
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError):
             load_student(t_path)
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError):
             load_teacher(s_path)
 
     def test_distill_rejects_mismatched_dataset(self, tmp_path):
         t_path = train_teacher(tiny_config(steps=5), tmp_path / "t")
         bad = tiny_config(steps=5, task="toysr", hr_size=16, sr_scale=4)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(CheckpointError, match="does not match"):
             distill_student(bad, t_path, tmp_path / "s")
