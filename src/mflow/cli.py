@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,18 +30,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _cap_threads() -> None:
-    """Honor MFLOW_THREADS by capping BLAS worker counts when possible."""
-    val = os.environ.get("MFLOW_THREADS")
-    if not val:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(int(val))
-    except Exception:
-        pass
 
 
 def _parse_value(text: str):
@@ -195,7 +182,6 @@ def _cmd_eval(args, config: RunConfig, out: Path) -> int:
 
 
 def run(argv: list[str]) -> int:
-    _cap_threads()
     parser = build_parser()
     try:
         if not argv:

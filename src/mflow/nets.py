@@ -6,13 +6,22 @@ dict keyed by the checkpoint names ("cond_table", "t_emb.W", "layer0.b",
 ...). The student adds a projection of the interval end s ("s_emb.W",
 "s_emb.b") whose output is added to the t-embedding; it is zero-initialized
 so a freshly initialized student reproduces its teacher exactly for every s.
+
+A t (or s) given per row is embedded per row. A scalar time shared by the
+whole batch, as in every sampling step, is embedded once as a single row
+that is repeated only where it enters the trunk. Training, which draws
+per-row times, is bit-identical either way; a shared-time forward may differ
+from the per-row one by a few ulps, since a one-row matmul replaces B
+identical rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
-from .tensor import Tensor, concat, gather_rows
+from .tensor import Tensor, concat, gather_rows, repeat_rows
 
 
 class TimeEmbedder:
@@ -45,6 +54,14 @@ class FieldNet:
     def __init__(self, kind: str, z_dim: int, lr_dim: int, num_content: int,
                  cond_dim: int = 16, time_dim: int = 32, hidden: tuple[int, ...] = (64, 64),
                  c_noise: float = 1.0, seed: int = 0):
+        self._configure(kind, z_dim, lr_dim, num_content, cond_dim, time_dim, hidden,
+                        c_noise, seed)
+        self.params: dict[str, Tensor] = {name: Tensor(w, requires_grad=True)
+                                          for name, w in self._draw().items()}
+
+    def _configure(self, kind: str, z_dim: int, lr_dim: int, num_content: int,
+                   cond_dim: int, time_dim: int, hidden: tuple[int, ...], c_noise: float,
+                   seed: int) -> None:
         if kind not in ("teacher", "student"):
             raise ValueError(f"unknown net kind: {kind!r}")
         self.kind = kind
@@ -58,35 +75,69 @@ class FieldNet:
         # one feature map serves t and s: a net has a single c_noise
         self.time_embedder = TimeEmbedder(time_dim, c_noise=c_noise)
 
-        # a seed's weights depend on the draw order: t-emb, s-emb, cond
-        # table, trunk. ``params`` keeps the checkpoint order instead, which
-        # fixes the summation order of the gradient-norm clip.
-        rng = np.random.default_rng(seed)
-        emb_shape, emb_scale = (time_dim, time_dim), 1.0 / np.sqrt(time_dim)
-        t_emb_w = rng.normal(0.0, emb_scale, size=emb_shape)
-        s_emb_w = rng.normal(0.0, emb_scale, size=emb_shape) if kind == "student" else None
-        # rows: content classes 0..num_content-1, then null, then negative
-        weights = {"cond_table": rng.normal(0.0, 0.5, size=(num_content + 2, cond_dim)),
-                   "t_emb.W": t_emb_w, "t_emb.b": np.zeros((1, time_dim))}
-        if kind == "student":
-            weights["s_emb.W"] = s_emb_w
-            weights["s_emb.b"] = np.zeros((1, time_dim))
-        dims = [z_dim + lr_dim + cond_dim + time_dim, *self.hidden, z_dim]
+    def _layout(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every weight, in checkpoint order.
+
+        That order also fixes the summation order of the gradient-norm clip.
+        """
+        d, z = self.time_dim, self.z_dim
+        # cond_table rows: content classes 0..num_content-1, then null, then negative
+        shapes = {"cond_table": (self.num_content + 2, self.cond_dim),
+                  "t_emb.W": (d, d), "t_emb.b": (1, d)}
+        if self.kind == "student":
+            shapes["s_emb.W"] = (d, d)
+            shapes["s_emb.b"] = (1, d)
+        dims = [z + self.lr_dim + self.cond_dim + d, *self.hidden, z]
         for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            w = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out))
-            if i == len(dims) - 2:
-                w *= 0.1  # small last layer keeps the untrained field tame
-            weights[f"layer{i}.W"] = w
-            weights[f"layer{i}.b"] = np.zeros((1, d_out))
+            shapes[f"layer{i}.W"] = (d_in, d_out)
+            shapes[f"layer{i}.b"] = (1, d_out)
         # time-gated linear skip on z (the field's dominant affine-in-z part
         # would otherwise have to squeeze through the trunk bottleneck),
-        # plus a direct linear path from the LR features; both zero-init
-        weights["gate.W"] = np.zeros((time_dim, z_dim))
-        weights["gate.b"] = np.zeros((1, z_dim))
-        if lr_dim > 0:
-            weights["lrskip.W"] = np.zeros((lr_dim, z_dim))
-        self.params: dict[str, Tensor] = {name: Tensor(w, requires_grad=True)
-                                          for name, w in weights.items()}
+        # plus a direct linear path from the LR features
+        shapes["gate.W"] = (d, z)
+        shapes["gate.b"] = (1, z)
+        if self.lr_dim > 0:
+            shapes["lrskip.W"] = (self.lr_dim, z)
+        return shapes
+
+    def _draw(self) -> dict[str, np.ndarray]:
+        """Fresh weights from ``seed``; biases, gate and LR skip start at zero."""
+        shapes = self._layout()
+        # a seed's weights depend on the draw order: t-emb, s-emb, cond table, trunk
+        rng = np.random.default_rng(self.seed)
+        emb_scale = 1.0 / np.sqrt(self.time_dim)
+        drawn = {name: rng.normal(0.0, emb_scale, size=shapes[name])
+                 for name in ("t_emb.W", "s_emb.W") if name in shapes}
+        drawn["cond_table"] = rng.normal(0.0, 0.5, size=shapes["cond_table"])
+        last = len(self.hidden)
+        for i in range(last + 1):
+            shape = shapes[f"layer{i}.W"]
+            w = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            if i == last:
+                w *= 0.1  # small last layer keeps the untrained field tame
+            drawn[f"layer{i}.W"] = w
+        return {name: drawn[name] if name in drawn else np.zeros(shape)
+                for name, shape in shapes.items()}
+
+    @classmethod
+    def _from_arrays(cls, config: dict, arrays: Mapping[str, np.ndarray]) -> "FieldNet":
+        """A net of ``config`` whose weights are ``arrays``, used without a copy.
+
+        Nothing is drawn from the RNG. Every weight of the layout must be in
+        ``arrays`` with its shape, else ValueError; other names are ignored.
+        A bad ``config`` raises TypeError or ValueError.
+        """
+        net = cls.__new__(cls)
+        net._configure(**config)
+        net.params = {}
+        for name, shape in net._layout().items():
+            if name not in arrays:
+                raise ValueError(f"missing tensor {name!r}")
+            if np.shape(arrays[name]) != shape:
+                raise ValueError(f"parameter {name!r} has shape {shape}, "
+                                 f"got {np.shape(arrays[name])}")
+            net.params[name] = Tensor(arrays[name], requires_grad=True)
+        return net
 
     # -- labels ---------------------------------------------------------------
 
@@ -127,25 +178,21 @@ class FieldNet:
                 "time_dim": self.time_dim, "hidden": list(self.hidden),
                 "c_noise": self.time_embedder.c_noise, "seed": self.seed}
 
-    @staticmethod
-    def from_config(cfg: dict) -> "FieldNet":
-        cfg = dict(cfg)
-        cfg["hidden"] = tuple(cfg["hidden"])
-        return FieldNet(**cfg)
-
     # -- forward ---------------------------------------------------------------
 
     def _forward(self, z: Tensor, t: Tensor, z_lr: Tensor, ids: np.ndarray,
                  s: Tensor | None) -> Tensor:
         p = self.params
         features = self.time_embedder.raw_features
+        # (1, time_dim) when the batch shares one t (and s), else (B, time_dim)
         time = features(t) @ p["t_emb.W"] + p["t_emb.b"]
         if self.kind == "student":
             if s is None:
                 raise ValueError("student forward requires the interval end s")
             time = time + (features(s) @ p["s_emb.W"] + p["s_emb.b"])
         cond = gather_rows(p["cond_table"], ids)
-        parts = [z, z_lr, cond, time] if self.lr_dim > 0 else [z, cond, time]
+        rows = repeat_rows(time, z.shape[0])
+        parts = [z, z_lr, cond, rows] if self.lr_dim > 0 else [z, cond, rows]
         x = concat(parts, axis=1)
         last = len(self.hidden)
         for i in range(last):
@@ -157,17 +204,15 @@ class FieldNet:
         return out
 
 
-def _as_batched(x, batch: int, width: int | None = None) -> Tensor:
-    """Lift scalars/arrays to a (B, k) Tensor, preserving any tangent."""
-    if isinstance(x, Tensor):
-        t = x
-    else:
-        t = Tensor(np.asarray(x, dtype=np.float64))
+def _as_column(x) -> Tensor:
+    """Lift a time to a (B, 1) column, preserving any tangent.
+
+    A scalar (shape () or (1,)) shared by the whole batch stays one (1, 1)
+    row, so the forward embeds it once.
+    """
+    t = Tensor._lift(x)
     if t.shape == () or t.shape == (1,):
-        data = np.broadcast_to(t.data.reshape(1, 1), (batch, 1)).copy()
-        tan = None if t.tangent is None else np.broadcast_to(t.tangent.reshape(1, 1), (batch, 1)).copy()
-        return Tensor(data, tangent=tan, _parents=(t,),
-                      _backward=lambda g: ((t, g.sum().reshape(t.shape)),))
+        return t.reshape(1, 1)
     if len(t.shape) == 1:
         return t.reshape(t.shape[0], 1)
     return t
@@ -178,9 +223,8 @@ def teacher_forward(net: FieldNet, z, t, z_lr, c) -> Tensor:
     if net.kind != "teacher":
         raise ValueError("teacher_forward called on a non-teacher net")
     z = Tensor._lift(z)
-    batch = z.shape[0]
-    return net._forward(z, _as_batched(t, batch), Tensor._lift(z_lr),
-                        net.label_ids(c, batch), None)
+    return net._forward(z, _as_column(t), Tensor._lift(z_lr),
+                        net.label_ids(c, z.shape[0]), None)
 
 
 def student_forward(net: FieldNet, z, t, s, z_lr, c) -> Tensor:
@@ -188,12 +232,11 @@ def student_forward(net: FieldNet, z, t, s, z_lr, c) -> Tensor:
     if net.kind != "student":
         raise ValueError("student_forward called on a non-student net")
     z = Tensor._lift(z)
-    batch = z.shape[0]
-    tt = _as_batched(t, batch)
-    ss = _as_batched(s, batch)
+    tt = _as_column(t)
+    ss = _as_column(s)
     if np.any(ss.data < tt.data - 1e-12):
         raise ValueError("student_forward requires s >= t (the sampler only moves forward)")
-    return net._forward(z, tt, Tensor._lift(z_lr), net.label_ids(c, batch), ss)
+    return net._forward(z, tt, Tensor._lift(z_lr), net.label_ids(c, z.shape[0]), ss)
 
 
 def init_student_from_teacher(teacher: FieldNet) -> FieldNet:
@@ -206,12 +249,9 @@ def init_student_from_teacher(teacher: FieldNet) -> FieldNet:
     """
     if teacher.kind != "teacher":
         raise ValueError("init_student_from_teacher needs a teacher net")
-    student = FieldNet("student", teacher.z_dim, teacher.lr_dim, teacher.num_content,
-                       cond_dim=teacher.cond_dim, time_dim=teacher.time_dim,
-                       hidden=teacher.hidden, c_noise=1.0, seed=teacher.seed)
-    for name, p in teacher.params.items():
-        student.set_parameter(name, Tensor(p.data.copy(), requires_grad=True))
-    for name in ("s_emb.W", "s_emb.b"):
-        student.set_parameter(name, Tensor(np.zeros(student.params[name].shape),
-                                           requires_grad=True))
-    return student
+    arrays = {name: p.data.copy() for name, p in teacher.params.items()}
+    d = teacher.time_dim
+    arrays["s_emb.W"] = np.zeros((d, d))
+    arrays["s_emb.b"] = np.zeros((1, d))
+    return FieldNet._from_arrays({**teacher.config(), "kind": "student", "c_noise": 1.0},
+                                 arrays)

@@ -197,13 +197,20 @@ class Tensor:
                       _backward=lambda g: ((a, -g * s),))
 
     def silu(self):
-        """x * sigmoid(x); smooth, with analytic derivative."""
+        """x * sigmoid(x); smooth, with analytic derivative.
+
+        The slope is computed only when a tangent or a backward pass uses it.
+        """
         a = self
         sig = 1.0 / (1.0 + np.exp(-a.data))
-        local = sig * (1.0 + a.data * (1.0 - sig))
-        tan = None if a.tangent is None else local * a.tangent
+
+        def slope():
+            return sig * (1.0 + a.data * (1.0 - sig))
+
+        local = None if a.tangent is None else slope()
+        tan = None if local is None else local * a.tangent
         return Tensor(a.data * sig, tangent=tan, _parents=(a,),
-                      _backward=lambda g: ((a, g * local),))
+                      _backward=lambda g: ((a, g * (slope() if local is None else local)),))
 
     # -- linear algebra / structure -------------------------------------------
 
@@ -277,6 +284,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(slices)
 
     return Tensor(out, tangent=tan, _parents=tuple(ts), _backward=back)
+
+
+def repeat_rows(x: Tensor, n: int) -> Tensor:
+    """Repeat a (1, k) row to (n, k); an (n, k) tensor passes through as is.
+
+    The value and tangent are read-only broadcast views; the gradient is the
+    sum over the n rows.
+    """
+    if len(x.shape) != 2 or x.shape[0] not in (1, n):
+        raise ShapeError(f"repeat_rows needs a (1, k) or ({n}, k) tensor, got {x.shape}")
+    if x.shape[0] == n:
+        return x
+    shape = (n, x.shape[1])
+    tan = None if x.tangent is None else np.broadcast_to(x.tangent, shape)
+    return Tensor(np.broadcast_to(x.data, shape), tangent=tan, _parents=(x,),
+                  _backward=lambda g: ((x, g.sum(axis=0, keepdims=True)),))
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:

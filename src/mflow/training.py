@@ -124,22 +124,35 @@ _DTYPE_F64 = 0
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """Binary container: magic, version, JSON metadata, named f64 tensors."""
+    """Binary container: magic, version, JSON metadata, named f64 tensors.
+
+    The bytes go to a temporary file in the target directory, which then
+    replaces ``path`` in one rename. A save that raises, or a process that
+    dies mid-write, leaves any earlier file at ``path`` as it was. Nothing is
+    fsynced, so this protects against a process crash, not a power loss.
+    """
+    path = Path(path)
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-            name_b = name.encode()
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<BB", _DTYPE_F64, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(meta_bytes)))
+            fh.write(meta_bytes)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
+                name_b = name.encode()
+                fh.write(struct.pack("<H", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<BB", _DTYPE_F64, arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -343,17 +356,13 @@ def _save_net_checkpoint(path, net: FieldNet, adam: Adam, config: RunConfig,
 
 def _load_net(path) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
     tensors, meta = load_checkpoint(path)
+    config = meta.get("net_config") if isinstance(meta, dict) else None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: no net config")
     try:
-        net = FieldNet.from_config(meta["net_config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad net config ({exc!r})") from exc
-    for name in net.parameters():
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-        try:
-            net.set_parameter(name, Tensor(tensors[name].copy(), requires_grad=True))
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: {exc}") from exc
+        net = FieldNet._from_arrays(config, tensors)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return net, tensors, meta
 
 
@@ -436,12 +445,25 @@ def load_student(path) -> FieldNet:
 
 
 def distill_student(config: RunConfig, teacher_ckpt, out_dir) -> Path:
-    """MeanFlow distillation of a frozen teacher into an average-velocity student."""
+    """MeanFlow distillation of a frozen teacher into an average-velocity student.
+
+    Raises CheckpointError when the teacher does not fit the configured
+    dataset or was built with another ``hidden``, ``time_dim``, ``cond_dim``
+    or ``teacher_c_noise`` than the config asks for.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     teacher = load_teacher(teacher_ckpt)
     ds = config.dataset()
     check_dataset(teacher, ds, teacher_ckpt)
+    for name, asked, held in (("hidden", list(config.hidden), list(teacher.hidden)),
+                              ("time_dim", config.time_dim, teacher.time_dim),
+                              ("cond_dim", config.cond_dim, teacher.cond_dim),
+                              ("teacher_c_noise", config.teacher_c_noise,
+                               teacher.time_embedder.c_noise)):
+        if asked != held:
+            raise CheckpointError(f"{teacher_ckpt}: the config asks for {name}={asked}, "
+                                  f"the teacher has {held}")
     frozen_digest = params_digest(teacher.parameters())
     student = init_student_from_teacher(teacher)
     pool = _sr_train_pool(config, ds)

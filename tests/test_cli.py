@@ -124,6 +124,16 @@ class TestBadCheckpoints:
         assert code == 3
         assert "does not match" in capsys.readouterr().err
 
+    def test_distill_refuses_config_unlike_teacher(self, trained, tmp_path, capsys):
+        _, out = trained
+        cfg = base_config(tmp_path, hidden=[8, 8], teacher_ckpt=str(out / "teacher.ckpt"))
+        capsys.readouterr()
+        code = run(["distill", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1
+        assert "hidden=[8, 8]" in err and "[8]" in err
+
 
 class TestVerify:
     def test_verify_passes_and_writes_grid(self, tmp_path, capsys):

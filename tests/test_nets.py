@@ -3,7 +3,7 @@ import pytest
 
 from mflow.nets import (FieldNet, TimeEmbedder, init_student_from_teacher, student_forward,
                         teacher_forward)
-from mflow.tensor import Tensor
+from mflow.tensor import Tensor, jvp
 
 
 def small_teacher(**kw):
@@ -71,7 +71,7 @@ class TestFieldNet:
 
     def test_config_roundtrip_same_outputs(self):
         net = small_teacher(seed=7)
-        clone = FieldNet.from_config(net.config())
+        clone = FieldNet(**net.config())
         z = np.random.default_rng(1).normal(size=(2, 3))
         np.testing.assert_array_equal(teacher_forward(net, z, 0.3, np.zeros((2, 0)), 1).data,
                                       teacher_forward(clone, z, 0.3, np.zeros((2, 0)), 1).data)
@@ -151,3 +151,61 @@ class TestStudentInit:
         a = student_forward(student, z, 0.2, 0.4, np.zeros((2, 0)), 0).data
         b = student_forward(student, z, 0.2, 0.9, np.zeros((2, 0)), 0).data
         assert not np.array_equal(a, b)
+
+
+class TestSharedTime:
+    """A t/s shared by the batch is embedded once: the result must match the
+    same time given per row, output, parameter gradients and tangent alike."""
+
+    B = 5
+    TOL = dict(rtol=1e-12, atol=1e-12)
+
+    @pytest.fixture(params=[("teacher", 0), ("teacher", 4), ("student", 0), ("student", 4)],
+                    ids=lambda p: f"{p[0]}-lr{p[1]}")
+    def case(self, request):
+        kind, lr_dim = request.param
+        net = small_teacher(lr_dim=lr_dim, seed=6)
+        rng = np.random.default_rng(8)
+        if kind == "student":
+            net = init_student_from_teacher(net)
+            w = net.parameters()["s_emb.W"]
+            net.set_parameter("s_emb.W", Tensor(rng.normal(size=w.shape), requires_grad=True))
+        z = rng.normal(size=(self.B, 3))
+        z_lr = rng.normal(size=(self.B, lr_dim))
+        labels = np.array([0, 1, 2, 3, 0])
+        return net, z, z_lr, labels
+
+    @staticmethod
+    def forward(case, t, s):
+        net, z, z_lr, labels = case
+        if net.kind == "teacher":
+            return teacher_forward(net, z, t, z_lr, labels)
+        return student_forward(net, z, t, s, z_lr, labels)
+
+    def per_row(self, x):
+        return np.full(self.B, x)
+
+    def test_output(self, case):
+        shared = self.forward(case, 0.3, 0.8).data
+        rows = self.forward(case, self.per_row(0.3), self.per_row(0.8)).data
+        np.testing.assert_allclose(shared, rows, **self.TOL)
+
+    def test_parameter_gradients(self, case):
+        net = case[0]
+        weights = np.random.default_rng(9).normal(size=(self.B, 3))
+        grads = []
+        for t, s in ((0.3, 0.8), (self.per_row(0.3), self.per_row(0.8))):
+            for p in net.parameters().values():
+                p.grad = None
+            (self.forward(case, t, s) * Tensor(weights)).sum().backward()
+            grads.append({name: p.grad for name, p in net.parameters().items()})
+        for name in grads[0]:
+            np.testing.assert_allclose(grads[0][name], grads[1][name], **self.TOL,
+                                       err_msg=name)
+
+    def test_tangent_in_t(self, case):
+        _, shared = jvp(lambda t: self.forward(case, t, 0.8), np.array(0.3), np.array(1.0))
+        _, rows = jvp(lambda t: self.forward(case, t, self.per_row(0.8)),
+                      self.per_row(0.3), np.ones(self.B))
+        assert np.any(rows != 0.0)
+        np.testing.assert_allclose(shared, rows, **self.TOL)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflow.tensor import ShapeError, Tensor, concat, gather_rows, jvp, stop_gradient
+from mflow.tensor import (ShapeError, Tensor, concat, gather_rows, jvp, repeat_rows,
+                          stop_gradient)
 
 
 def _rand_mlp(rng, sizes):
@@ -154,6 +155,53 @@ class TestBackward:
         out = gather_rows(table, [0, 0, 2])
         out.sum().backward()
         np.testing.assert_array_equal(table.grad, [[2, 2], [0, 0], [1, 1]])
+
+
+class TestRepeatRows:
+    W = np.random.default_rng(11).normal(size=(4, 3))
+
+    def f(self, x):
+        return (repeat_rows(x, 4) * Tensor(self.W)).silu().sum()
+
+    def central_difference(self, x, v, h=1e-6):
+        return (self.f(Tensor(x + h * v)).item() - self.f(Tensor(x - h * v)).item()) / (2 * h)
+
+    def test_value_is_the_row_repeated(self):
+        x = np.random.default_rng(0).normal(size=(1, 3))
+        np.testing.assert_array_equal(repeat_rows(Tensor(x), 4).data, np.repeat(x, 4, axis=0))
+
+    def test_tangent_matches_finite_difference(self):
+        rng = np.random.default_rng(1)
+        x, v = rng.normal(size=(2, 1, 3))
+        _, tan = jvp(lambda t: repeat_rows(t, 4), x, v)
+        np.testing.assert_array_equal(tan, np.repeat(v, 4, axis=0))
+        _, tan = jvp(self.f, x, v)
+        np.testing.assert_allclose(tan, self.central_difference(x, v), rtol=1e-6)
+
+    def test_gradient_matches_finite_difference(self):
+        x = np.random.default_rng(2).normal(size=(1, 3))
+        leaf = Tensor(x, requires_grad=True)
+        self.f(leaf).backward()
+        fd = [self.central_difference(x, np.eye(3)[[i]]) for i in range(3)]
+        np.testing.assert_allclose(leaf.grad, [fd], rtol=1e-6)
+
+    def test_full_batch_passes_through(self):
+        y = Tensor(np.ones((4, 3)))
+        assert repeat_rows(y, 4) is y
+        with pytest.raises(ShapeError):
+            repeat_rows(Tensor(np.ones((2, 3))), 4)
+
+
+class TestSilu:
+    def test_backward_bitwise_equal_with_and_without_tangent(self):
+        rng = np.random.default_rng(12)
+        x, v, w = rng.normal(size=(3, 4, 5))
+        grads = []
+        for tangent in (None, v):
+            leaf = Tensor(x, requires_grad=True, tangent=tangent)
+            (leaf.silu() * Tensor(w)).sum().backward()
+            grads.append(leaf.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
 
 
 class TestStopGradient:

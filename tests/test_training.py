@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mflow import nets
 from mflow.flow import CfgConfig, LossConfig
-from mflow.nets import teacher_forward
+from mflow.nets import init_student_from_teacher, teacher_forward
 from mflow.tensor import Tensor
 from mflow.training import (Adam, CheckpointError, NumericalAbort, RunConfig, _lr_at,
                             clip_gradients, distill_student, load_checkpoint, load_student,
@@ -100,6 +103,16 @@ class TestCheckpointContainer:
         save_checkpoint(tmp_path / "a.ckpt", tensors, {"k": 1})
         save_checkpoint(tmp_path / "b.ckpt", tensors, {"k": 1})
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_failed_save_leaves_earlier_file(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"w": np.arange(3.0)}, {"k": 1})
+        before = path.read_bytes()
+        # "b" is written before "x", which cannot be cast to float64
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"b": np.ones(4), "x": np.array(["nan?"])}, {"k": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
     def test_params_digest_orders_and_discriminates(self):
         a = {"x": Tensor(np.ones(2)), "y": Tensor(np.zeros(2))}
@@ -248,6 +261,30 @@ class TestTrainingLoops:
             load_student(t_path)
         with pytest.raises(CheckpointError):
             load_teacher(s_path)
+
+    @pytest.mark.parametrize("field, value, held", [("hidden", [8, 8], "[8]"),
+                                                    ("time_dim", 4, "8"),
+                                                    ("cond_dim", 2, "4"),
+                                                    ("teacher_c_noise", 2.0, "1.0")])
+    def test_distill_rejects_config_unlike_teacher(self, tmp_path, field, value, held):
+        t_path = train_teacher(tiny_config(steps=2), tmp_path / "t")
+        message = re.escape(f"{field}={value}, the teacher has {held}")
+        with pytest.raises(CheckpointError, match=message):
+            distill_student(tiny_config(steps=2, **{field: value}), t_path, tmp_path / "s")
+
+    def test_loads_and_clones_draw_no_weights(self, tmp_path, monkeypatch):
+        t_path = train_teacher(tiny_config(steps=2), tmp_path / "t")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("weights drawn only to be overwritten")
+
+        monkeypatch.setattr(nets.np.random, "default_rng", no_draws)
+        teacher = load_teacher(t_path)
+        student = init_student_from_teacher(teacher)
+        tensors = load_checkpoint(t_path)[0]
+        for name, p in teacher.parameters().items():
+            np.testing.assert_array_equal(p.data, tensors[name])
+            np.testing.assert_array_equal(student.parameters()[name].data, p.data)
 
     def test_distill_rejects_mismatched_dataset(self, tmp_path):
         t_path = train_teacher(tiny_config(steps=5), tmp_path / "t")
