@@ -4,7 +4,9 @@ Every run resolves its configuration (file + dotted-key overrides), writes
 the resolved config next to its outputs, and is reproducible from that file
 alone. Exit codes: 0 success, 1 usage error, 2 numerical abort or failed
 verification, 3 I/O error or a checkpoint that is corrupt, truncated, of the
-wrong role, or does not fit the configured dataset.
+wrong role, or does not fit the configured dataset. ``mflow inspect CKPT``
+prints a checkpoint's role, steps, parameter count and digests as one JSON
+line.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .data import (Gen2dDataset, build_sr_pool, gen_2d, write_manifest, write_pg
 from .oracle import AnalyticFlow, identity_residual_grid, write_residual_csv
 from .sampling import sr_infer, sample_student, steps_sweep, write_sweep_csv
 from .training import (CheckpointError, NumericalAbort, RunConfig, check_dataset,
-                       distill_student, load_student, train_teacher)
+                       describe_checkpoint, distill_student, load_student, train_teacher)
 
 
 class UsageError(Exception):
@@ -98,6 +100,9 @@ def build_parser() -> _Parser:
         if name == "verify":
             p.add_argument("--grid", type=int, default=10, help="grid resolution per axis")
             p.add_argument("--steps", type=int, default=1024, help="integrator steps")
+    p = sub.add_parser("inspect", help="print a checkpoint's role, steps, parameter count "
+                                       "and digests as one JSON line")
+    p.add_argument("ckpt", help="checkpoint file")
     return parser
 
 
@@ -191,6 +196,9 @@ def run(argv: list[str]) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
+        if args.command == "inspect":
+            print(json.dumps(describe_checkpoint(args.ckpt), sort_keys=True))
+            return 0
         config = _resolve_config(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,15 @@
 """Velocity networks: teacher v(z, t | lr, c) and student u(z, t, s | lr, c).
 
 Both are MLPs over the concatenation [z, flattened-LR features, condition
-embedding, time embedding]. Every weight lives in ``FieldNet.params``, one
-dict keyed by the checkpoint names ("cond_table", "t_emb.W", "layer0.b",
-...). The student adds a projection of the interval end s ("s_emb.W",
-"s_emb.b") whose output is added to the t-embedding; it is zero-initialized
-so a freshly initialized student reproduces its teacher exactly for every s.
+embedding, time embedding]. Every weight lives in ``FieldNet.flat``, one
+contiguous float64 vector; ``FieldNet.params`` names its slices by the
+checkpoint names ("cond_table", "t_emb.W", "layer0.b", ...), each a Tensor
+whose ``.data`` is a reshaped view into the vector. ``FieldNet.views`` names
+the slices of any vector of that length the same way, so gradients and
+optimizer moments share the layout without knowing it. The student adds a
+projection of the interval end s ("s_emb.W", "s_emb.b") whose output is
+added to the t-embedding; it is zero-initialized so a freshly initialized
+student reproduces its teacher exactly for every s.
 
 A t (or s) given per row is embedded per row. A scalar time shared by the
 whole batch, as in every sampling step, is embedded once as a single row
@@ -17,6 +21,7 @@ identical rows.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -49,19 +54,24 @@ class TimeEmbedder:
 
 
 class FieldNet:
-    """MLP velocity field; ``kind`` selects teacher (v) or student (u) form."""
+    """MLP velocity field; ``kind`` selects teacher (v) or student (u) form.
+
+    The weights are one flat vector, ``flat``, in ``_layout()`` order, and
+    ``params`` holds a view of it per weight. Writing to a view (as
+    ``set_parameter`` and the optimizer do) changes the net in place.
+    """
 
     def __init__(self, kind: str, z_dim: int, lr_dim: int, num_content: int,
                  cond_dim: int = 16, time_dim: int = 32, hidden: tuple[int, ...] = (64, 64),
                  c_noise: float = 1.0, seed: int = 0):
         self._configure(kind, z_dim, lr_dim, num_content, cond_dim, time_dim, hidden,
                         c_noise, seed)
-        self.params: dict[str, Tensor] = {name: Tensor(w, requires_grad=True)
-                                          for name, w in self._draw().items()}
+        self._draw()
 
     def _configure(self, kind: str, z_dim: int, lr_dim: int, num_content: int,
                    cond_dim: int, time_dim: int, hidden: tuple[int, ...], c_noise: float,
                    seed: int) -> None:
+        """Set the config and allocate the weight vector, all zero."""
         if kind not in ("teacher", "student"):
             raise ValueError(f"unknown net kind: {kind!r}")
         self.kind = kind
@@ -74,6 +84,9 @@ class FieldNet:
         self.seed = seed
         # one feature map serves t and s: a net has a single c_noise
         self.time_embedder = TimeEmbedder(time_dim, c_noise=c_noise)
+        self.flat = np.zeros(sum(math.prod(shape) for shape in self._layout().values()))
+        self.params: dict[str, Tensor] = {name: Tensor(w, requires_grad=True)
+                                          for name, w in self.views(self.flat).items()}
 
     def _layout(self) -> dict[str, tuple[int, ...]]:
         """Shape of every weight, in checkpoint order.
@@ -100,28 +113,43 @@ class FieldNet:
             shapes["lrskip.W"] = (self.lr_dim, z)
         return shapes
 
-    def _draw(self) -> dict[str, np.ndarray]:
-        """Fresh weights from ``seed``; biases, gate and LR skip start at zero."""
-        shapes = self._layout()
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name the slices of a vector laid out like ``flat``.
+
+        One reshaped view per weight, in checkpoint order; writing to a view
+        writes to ``flat``.
+        """
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"expected a vector of {self.flat.size} values, "
+                             f"got shape {flat.shape}")
+        named, start = {}, 0
+        for name, shape in self._layout().items():
+            stop = start + math.prod(shape)
+            named[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return named
+
+    def _draw(self) -> None:
+        """Fresh weights from ``seed``; biases, gate and LR skip stay zero."""
+        w = {name: p.data for name, p in self.params.items()}
         # a seed's weights depend on the draw order: t-emb, s-emb, cond table, trunk
         rng = np.random.default_rng(self.seed)
         emb_scale = 1.0 / np.sqrt(self.time_dim)
-        drawn = {name: rng.normal(0.0, emb_scale, size=shapes[name])
-                 for name in ("t_emb.W", "s_emb.W") if name in shapes}
-        drawn["cond_table"] = rng.normal(0.0, 0.5, size=shapes["cond_table"])
+        for name in ("t_emb.W", "s_emb.W"):
+            if name in w:
+                w[name][...] = rng.normal(0.0, emb_scale, size=w[name].shape)
+        w["cond_table"][...] = rng.normal(0.0, 0.5, size=w["cond_table"].shape)
         last = len(self.hidden)
         for i in range(last + 1):
-            shape = shapes[f"layer{i}.W"]
-            w = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            shape = w[f"layer{i}.W"].shape
+            drawn = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
             if i == last:
-                w *= 0.1  # small last layer keeps the untrained field tame
-            drawn[f"layer{i}.W"] = w
-        return {name: drawn[name] if name in drawn else np.zeros(shape)
-                for name, shape in shapes.items()}
+                drawn *= 0.1  # small last layer keeps the untrained field tame
+            w[f"layer{i}.W"][...] = drawn
 
     @classmethod
     def _from_arrays(cls, config: dict, arrays: Mapping[str, np.ndarray]) -> "FieldNet":
-        """A net of ``config`` whose weights are ``arrays``, used without a copy.
+        """A net of ``config`` whose weights are copied from ``arrays``.
 
         Nothing is drawn from the RNG. Every weight of the layout must be in
         ``arrays`` with its shape, else ValueError; other names are ignored.
@@ -129,14 +157,7 @@ class FieldNet:
         """
         net = cls.__new__(cls)
         net._configure(**config)
-        net.params = {}
-        for name, shape in net._layout().items():
-            if name not in arrays:
-                raise ValueError(f"missing tensor {name!r}")
-            if np.shape(arrays[name]) != shape:
-                raise ValueError(f"parameter {name!r} has shape {shape}, "
-                                 f"got {np.shape(arrays[name])}")
-            net.params[name] = Tensor(arrays[name], requires_grad=True)
+        copy_into({name: p.data for name, p in net.params.items()}, arrays)
         return net
 
     # -- labels ---------------------------------------------------------------
@@ -163,14 +184,14 @@ class FieldNet:
         return self.params
 
     def set_parameter(self, name: str, value: Tensor) -> None:
-        """Replace one weight; raises KeyError for an unknown name."""
-        shape = self.params[name].shape
-        if value.shape != shape:
-            raise ValueError(f"parameter {name!r} has shape {shape}, got {value.shape}")
-        self.params[name] = value
+        """Copy ``value`` into one weight; raises KeyError for an unknown name."""
+        data = self.params[name].data
+        if value.shape != data.shape:
+            raise ValueError(f"parameter {name!r} has shape {data.shape}, got {value.shape}")
+        data[...] = value.data
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat.size
 
     def config(self) -> dict:
         return {"kind": self.kind, "z_dim": self.z_dim, "lr_dim": self.lr_dim,
@@ -202,6 +223,21 @@ class FieldNet:
         if self.lr_dim > 0:
             out = out + z_lr @ p["lrskip.W"]
         return out
+
+
+def copy_into(views: Mapping[str, np.ndarray], arrays: Mapping[str, np.ndarray]) -> None:
+    """Copy ``arrays[name]`` into every named view.
+
+    Raises ValueError when a name is missing from ``arrays`` or its array has
+    another shape; names not in ``views`` are ignored.
+    """
+    for name, view in views.items():
+        if name not in arrays:
+            raise ValueError(f"missing tensor {name!r}")
+        if np.shape(arrays[name]) != view.shape:
+            raise ValueError(f"parameter {name!r} has shape {view.shape}, "
+                             f"got {np.shape(arrays[name])}")
+        view[...] = arrays[name]
 
 
 def _as_column(x) -> Tensor:
@@ -249,7 +285,7 @@ def init_student_from_teacher(teacher: FieldNet) -> FieldNet:
     """
     if teacher.kind != "teacher":
         raise ValueError("init_student_from_teacher needs a teacher net")
-    arrays = {name: p.data.copy() for name, p in teacher.params.items()}
+    arrays = {name: p.data for name, p in teacher.params.items()}
     d = teacher.time_dim
     arrays["s_emb.W"] = np.zeros((d, d))
     arrays["s_emb.b"] = np.zeros((1, d))

@@ -49,7 +49,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable n-d float64 value, optionally tracked for differentiation."""
+    """n-d float64 value, optionally tracked for differentiation.
+
+    Ops never write to an operand's ``data``. The owner of a leaf, such as a
+    net holding its weights, may update it in place between passes.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "tangent", "_parents", "_backward")
 

@@ -9,6 +9,7 @@ import math
 import os
 import struct
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -17,15 +18,19 @@ import numpy as np
 from .data import (DegradeParams, Gen2dDataset, GaussianDataset, ToySrDataset,
                    build_sr_pool, make_batch)
 from .flow import CfgConfig, LossConfig, mfd_loss, rf_loss
-from .nets import FieldNet, init_student_from_teacher
+from .nets import FieldNet, copy_into, init_student_from_teacher
 from .tensor import Tensor
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when a loss or gradient goes non-finite.
+    """Raised when a loss or a gradient goes non-finite.
 
-    The run stops at that step. Only the checkpoints it already wrote stay:
-    one every ``ckpt_every`` steps, so none with the default ``ckpt_every=0``.
+    A gradient counts as non-finite when any of its values is, and also when
+    its values are finite but their sum of squares overflows. The run stops
+    at that step before the optimizer moves anything, so parameters and Adam
+    moments stay as the previous step left them. Only the checkpoints it
+    already wrote stay: one every ``ckpt_every`` steps, so none with the
+    default ``ckpt_every=0``.
     """
 
 
@@ -36,41 +41,42 @@ class CheckpointError(ValueError):
 
 # -- Adam ----------------------------------------------------------------------
 
-class Adam:
-    """Standard bias-corrected Adam over a named parameter dict."""
+# Elements per pass of the Adam update. The update is memory-bound, so it
+# runs block by block: the block's slices of p, g, m, v and two scratch
+# blocks stay in cache across its 14 passes.
+ADAM_BLOCK = 32768
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+
+class Adam:
+    """Standard bias-corrected Adam over one flat parameter vector.
+
+    ``step`` updates the parameter vector in place; ``m`` and ``v`` are flat
+    vectors of the same layout, which a net's ``views`` names for the
+    checkpoint.
+    """
+
+    def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        # reusable per-parameter work buffers; the update is memory-bound, so
-        # avoiding a fresh allocation per pass roughly halves its cost
-        self._buf_a: dict[str, np.ndarray] = {}
-        self._buf_b: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._a = np.empty(min(size, ADAM_BLOCK))
+        self._b = np.empty(min(size, ADAM_BLOCK))
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
-        """One update; returns fresh parameter tensors."""
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericalAbort(f"non-finite gradient in parameter {name!r}")
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One update of ``params`` in place; ``grad`` must be finite (the clip checks)."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        out = {}
-        for name, p in params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros(p.shape)
-            m = self.m.setdefault(name, np.zeros(p.shape))
-            v = self.v.setdefault(name, np.zeros(p.shape))
-            a = self._buf_a.setdefault(name, np.empty(p.shape))
-            b = self._buf_b.setdefault(name, np.empty(p.shape))
+        for start in range(0, params.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            p, g, m, v = params[block], grad[block], self.m[block], self.v[block]
+            a, b = self._a[:p.size], self._b[:p.size]
             # m <- beta1*m + (1-beta1)*g; v <- beta2*v + (1-beta2)*g*g
             np.multiply(m, self.beta1, out=m)
             np.multiply(g, 1.0 - self.beta1, out=a)
@@ -79,39 +85,44 @@ class Adam:
             np.multiply(g, 1.0 - self.beta2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
-            # p - lr*(m/bc1) / (sqrt(v/bc2) + eps), staged through the buffers
+            # p <- p - lr*(m/bc1) / (sqrt(v/bc2) + eps), staged through the buffers
             np.divide(m, bc1, out=a)
             np.multiply(a, self.lr, out=a)
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
             np.add(b, self.eps, out=b)
             np.divide(a, b, out=a)
-            out[name] = Tensor(p.data - a, requires_grad=True)
-        return out
+            np.subtract(p, a, out=p)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {}
-        for name, m in self.m.items():
-            arrays[f"adam.m.{name}"] = m
-            arrays[f"adam.v.{name}"] = self.v[name]
+    def state_arrays(self, views: Callable[[np.ndarray], dict[str, np.ndarray]]
+                     ) -> dict[str, np.ndarray]:
+        """The moments as checkpoint tensors, ``adam.m.<name>`` and ``adam.v.<name>``.
+
+        ``views`` names the slices of a flat vector (a net's ``views``); the
+        arrays returned are views of ``m`` and ``v``, so writing to them
+        restores the state.
+        """
+        arrays = {f"adam.m.{name}": a for name, a in views(self.m).items()}
+        arrays.update({f"adam.v.{name}": a for name, a in views(self.v).items()})
         return arrays
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        self.step_count = step_count
-        for key, arr in arrays.items():
-            if key.startswith("adam.m."):
-                self.m[key[len("adam.m."):]] = arr.copy()
-            elif key.startswith("adam.v."):
-                self.v[key[len("adam.v."):]] = arr.copy()
 
+def clip_gradients(flat: np.ndarray, grads: Mapping[str, np.ndarray],
+                   max_norm: float) -> tuple[float, bool]:
+    """Global-norm clip of ``flat`` in place; returns (pre-clip norm, was clipped).
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> tuple[float, bool]:
-    """Global-norm clip in place; returns (pre-clip norm, was clipped)."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    ``grads`` names the slices of ``flat`` in layout order, which fixes the
+    summation order of the norm. A non-finite norm raises NumericalAbort
+    before anything is scaled.
+    """
+    with np.errstate(over="ignore"):  # an overflow is reported below, as an abort
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if not np.isfinite(total):
+        bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
+        raise NumericalAbort(f"non-finite gradient in parameter {bad!r}" if bad else
+                             "the squared gradient norm overflows")
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * scale
+        np.multiply(flat, max_norm / total, out=flat)
         return total, True
     return total, False
 
@@ -320,13 +331,22 @@ def _restore_rng(state: dict) -> np.random.Generator:
     return rng
 
 
-def _backward_and_collect(loss: Tensor, net: FieldNet) -> dict[str, np.ndarray]:
-    params = net.parameters()
+def _backward_into(loss: Tensor, params: dict[str, Tensor],
+                   grads: dict[str, np.ndarray]) -> None:
+    """Backpropagate ``loss`` and copy each parameter's gradient into ``grads``.
+
+    A parameter the loss does not reach gets zeros. The leaves' ``.grad``
+    arrays are copied, never scaled in place: a backward rule may hand one
+    array to several operands.
+    """
     for p in params.values():
         p.grad = None
     loss.backward()
-    return {name: (p.grad if p.grad is not None else np.zeros(p.shape))
-            for name, p in params.items()}
+    for name, p in params.items():
+        if p.grad is None:
+            grads[name].fill(0.0)
+        else:
+            grads[name][...] = p.grad
 
 
 class _TrainLog:
@@ -347,7 +367,7 @@ class _TrainLog:
 def _save_net_checkpoint(path, net: FieldNet, adam: Adam, config: RunConfig,
                          step: int, rng: np.random.Generator, role: str) -> None:
     tensors = {name: p.data for name, p in net.parameters().items()}
-    tensors.update(adam.state_arrays())
+    tensors.update(adam.state_arrays(net.views))
     meta = {"role": role, "step": step, "config_digest": config.digest(),
             "net_config": net.config(), "config": config.to_dict(),
             "adam_step": adam.step_count, "rng_state": _rng_state_meta(rng)}
@@ -374,6 +394,40 @@ def check_dataset(net: FieldNet, dataset, path) -> None:
                               f"configured dataset")
 
 
+def _check_teacher_fits(config: RunConfig, dataset, teacher: FieldNet, path) -> None:
+    """Refuse a teacher that does not fit the dataset or was built with another
+    ``hidden``, ``time_dim``, ``cond_dim`` or ``teacher_c_noise`` than the
+    config asks for."""
+    check_dataset(teacher, dataset, path)
+    for name, asked, held in (("hidden", list(config.hidden), list(teacher.hidden)),
+                              ("time_dim", config.time_dim, teacher.time_dim),
+                              ("cond_dim", config.cond_dim, teacher.cond_dim),
+                              ("teacher_c_noise", config.teacher_c_noise,
+                               teacher.time_embedder.c_noise)):
+        if asked != held:
+            raise CheckpointError(f"{path}: the config asks for {name}={asked}, "
+                                  f"the teacher has {held}")
+
+
+def _resume_state(path, net: FieldNet, adam: Adam, tensors: dict[str, np.ndarray],
+                  meta: dict) -> tuple[int, np.random.Generator]:
+    """Restore Adam's moments and step count; returns (next step, training RNG).
+
+    Raises CheckpointError when the checkpoint lacks anything needed to
+    continue the run bit-exactly.
+    """
+    for key in ("step", "adam_step"):
+        if not isinstance(meta.get(key), int) or meta[key] < 0:
+            raise CheckpointError(f"{path}: no valid {key!r} to resume from")
+    try:
+        copy_into(adam.state_arrays(net.views), tensors)
+        rng = _restore_rng(meta.get("rng_state"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: cannot resume ({exc})") from exc
+    adam.step_count = meta["adam_step"]
+    return meta["step"], rng
+
+
 def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Generator,
                start: int, out: Path, role: str, next_batch, loss_of) -> Path:
     """Steps ``start`` .. ``config.steps - 1`` of a run; returns the final checkpoint path.
@@ -383,6 +437,9 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
     clipping, Adam, the log and the checkpoint cadence.
     """
     final = out / f"{role}.ckpt"
+    params = net.parameters()
+    grad = np.empty_like(net.flat)
+    grads = net.views(grad)
     log = _TrainLog(out / f"{role}_log.csv")
     try:
         for step in range(start, config.steps):
@@ -391,10 +448,9 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
             loss = loss_of(next_batch(rng))
             if not np.isfinite(loss.item()):
                 raise NumericalAbort(f"non-finite {role} loss at step {step}")
-            grads = _backward_and_collect(loss, net)
-            norm, _ = clip_gradients(grads, config.grad_clip)
-            for name, p in adam.step(net.parameters(), grads).items():
-                net.set_parameter(name, p)
+            _backward_into(loss, params, grads)
+            norm, _ = clip_gradients(grad, grads, config.grad_clip)
+            adam.step(net.flat, grad)
             if step % config.log_every == 0 or step == config.steps - 1:
                 log.row(step, loss.item(), norm, (time.perf_counter() - t0) * 1e3)
             if config.ckpt_every and (step + 1) % config.ckpt_every == 0:
@@ -411,16 +467,15 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = config.dataset()
-    adam = Adam(lr=config.lr)
-    start = 0
     if resume:
-        teacher, tensors, meta = _load_net(resume)
-        adam.load_state_arrays(tensors, meta["adam_step"])
-        rng = _restore_rng(meta["rng_state"])
-        start = meta["step"]
+        teacher, tensors, meta = _load_role(resume, "teacher")
+        _check_teacher_fits(config, dataset, teacher, resume)
+        adam = Adam(teacher.param_count(), lr=config.lr)
+        start, rng = _resume_state(resume, teacher, adam, tensors, meta)
     else:
         teacher = config.build_teacher()
-        rng = np.random.default_rng(config.seed)
+        adam = Adam(teacher.param_count(), lr=config.lr)
+        start, rng = 0, np.random.default_rng(config.seed)
     neg_prob = config.neg_pair_prob if config.task == "toysr" else 0.0
     pool = _sr_train_pool(config, dataset)
     return _run_steps(
@@ -430,18 +485,32 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
         lambda batch: rf_loss(teacher, batch))
 
 
+def _load_role(path, kind: str) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
+    net, tensors, meta = _load_net(path)
+    if net.kind != kind:
+        raise CheckpointError(f"{path} does not hold a {kind} checkpoint")
+    return net, tensors, meta
+
+
 def load_teacher(path) -> FieldNet:
-    net, _, _ = _load_net(path)
-    if net.kind != "teacher":
-        raise CheckpointError(f"{path} does not hold a teacher checkpoint")
-    return net
+    return _load_role(path, "teacher")[0]
 
 
 def load_student(path) -> FieldNet:
-    net, _, _ = _load_net(path)
-    if net.kind != "student":
-        raise CheckpointError(f"{path} does not hold a student checkpoint")
-    return net
+    return _load_role(path, "student")[0]
+
+
+def describe_checkpoint(path) -> dict:
+    """Role, kind, steps, parameter count and digests of a checkpoint.
+
+    ``params_digest`` covers the weights alone, so it does not move with the
+    metadata bytes. Raises CheckpointError for a file that does not load.
+    """
+    net, _, meta = _load_net(path)
+    return {"role": meta.get("role"), "kind": net.kind, "step": meta.get("step"),
+            "adam_step": meta.get("adam_step"), "param_count": net.param_count(),
+            "params_digest": params_digest(net.parameters()),
+            "config_digest": meta.get("config_digest")}
 
 
 def distill_student(config: RunConfig, teacher_ckpt, out_dir) -> Path:
@@ -455,21 +524,13 @@ def distill_student(config: RunConfig, teacher_ckpt, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     teacher = load_teacher(teacher_ckpt)
     ds = config.dataset()
-    check_dataset(teacher, ds, teacher_ckpt)
-    for name, asked, held in (("hidden", list(config.hidden), list(teacher.hidden)),
-                              ("time_dim", config.time_dim, teacher.time_dim),
-                              ("cond_dim", config.cond_dim, teacher.cond_dim),
-                              ("teacher_c_noise", config.teacher_c_noise,
-                               teacher.time_embedder.c_noise)):
-        if asked != held:
-            raise CheckpointError(f"{teacher_ckpt}: the config asks for {name}={asked}, "
-                                  f"the teacher has {held}")
+    _check_teacher_fits(config, ds, teacher, teacher_ckpt)
     frozen_digest = params_digest(teacher.parameters())
     student = init_student_from_teacher(teacher)
     pool = _sr_train_pool(config, ds)
     final = _run_steps(
-        config, student, Adam(lr=config.lr), np.random.default_rng(config.seed), 0, out,
-        "student",
+        config, student, Adam(student.param_count(), lr=config.lr),
+        np.random.default_rng(config.seed), 0, out, "student",
         lambda rng: make_batch(ds, config.batch_size, rng, ratio_r=config.loss.ratio_r,
                                pool=pool),
         lambda batch: mfd_loss(student, teacher, batch, config.cfg, config.loss))

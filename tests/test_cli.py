@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mflow.cli import run
-from mflow.training import load_checkpoint
+from mflow.training import RunConfig, load_checkpoint, load_teacher, params_digest
 
 
 def base_config(tmp_path, **kw):
@@ -175,3 +175,29 @@ class TestCheckpointMeta:
         assert meta["role"] == "teacher"
         assert meta["step"] == 15
         assert len(meta["config_digest"]) == 64
+
+
+class TestInspect:
+    def test_prints_one_json_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = base_config(tmp_path, steps=3)
+        assert run(["train-teacher", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["inspect", str(out / "teacher.ckpt")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        teacher = load_teacher(out / "teacher.ckpt")
+        config = RunConfig.from_dict(json.loads((out / "config.json").read_text()))
+        assert json.loads(lines[0]) == {
+            "role": "teacher", "kind": "teacher", "step": 3, "adam_step": 3,
+            "param_count": teacher.param_count(),
+            "params_digest": params_digest(teacher.parameters()),
+            "config_digest": config.digest()}
+
+    def test_bad_file_exits_3_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"not a checkpoint at all")
+        assert run(["inspect", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("checkpoint error:") and captured.err.count("\n") == 1

@@ -79,12 +79,50 @@ class TestFieldNet:
     def test_set_parameter_roundtrip(self):
         net = small_teacher()
         for name, p in net.parameters().items():
-            net.set_parameter(name, Tensor(p.data * 2.0, requires_grad=True))
-            np.testing.assert_array_equal(net.parameters()[name].data, p.data * 2.0)
+            # the weight is updated in place, so capture the expected value first
+            expected = p.data * 2.0
+            net.set_parameter(name, Tensor(expected, requires_grad=True))
+            np.testing.assert_array_equal(net.parameters()[name].data, expected)
         with pytest.raises(KeyError):
             net.set_parameter("nonexistent", Tensor(np.zeros(1)))
         with pytest.raises(ValueError, match="shape"):
             net.set_parameter("layer0.W", Tensor(np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("kind", ["teacher", "student", "clone"])
+    def test_params_are_views_of_one_flat_vector(self, kind):
+        net = (init_student_from_teacher(small_teacher(lr_dim=4)) if kind == "clone" else
+               FieldNet(kind, z_dim=3, lr_dim=4, num_content=2, cond_dim=8, time_dim=8,
+                        hidden=(16,)))
+        assert net.flat.shape == (net.param_count(),)
+        assert net.param_count() == sum(p.size for p in net.parameters().values())
+        assert list(net.views(net.flat)) == list(net.parameters())
+        net.flat[:] = np.arange(net.flat.size)
+        start = 0
+        for name, p in net.parameters().items():
+            assert np.shares_memory(p.data, net.flat), name
+            np.testing.assert_array_equal(p.data.ravel(), np.arange(start, start + p.size))
+            start += p.size
+        with pytest.raises(ValueError, match="vector"):
+            net.views(np.zeros(net.flat.size + 1))
+
+    @pytest.mark.parametrize("kind", ["teacher", "student"])
+    def test_fresh_weights_match_reference_draw(self, kind):
+        # the per-weight draw the flat vector replaced, kept as the reference
+        net = FieldNet(kind, z_dim=3, lr_dim=4, num_content=2, cond_dim=8, time_dim=8,
+                       hidden=(16, 12), seed=11)
+        shapes = net._layout()
+        rng = np.random.default_rng(11)
+        drawn = {name: rng.normal(0.0, 1.0 / np.sqrt(8), size=shapes[name])
+                 for name in ("t_emb.W", "s_emb.W") if name in shapes}
+        drawn["cond_table"] = rng.normal(0.0, 0.5, size=shapes["cond_table"])
+        for i in range(3):
+            shape = shapes[f"layer{i}.W"]
+            w = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            if i == 2:
+                w *= 0.1
+            drawn[f"layer{i}.W"] = w
+        for name, p in net.parameters().items():
+            np.testing.assert_array_equal(p.data, drawn.get(name, np.zeros(shapes[name])))
 
     def test_all_parameters_receive_gradients(self):
         net = small_teacher()

@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mflow import nets
-from mflow.flow import CfgConfig, LossConfig
-from mflow.nets import init_student_from_teacher, teacher_forward
+from mflow.data import make_batch
+from mflow.flow import CfgConfig, LossConfig, rf_loss
+from mflow.nets import copy_into, init_student_from_teacher, teacher_forward
 from mflow.tensor import Tensor
-from mflow.training import (Adam, CheckpointError, NumericalAbort, RunConfig, _lr_at,
-                            clip_gradients, distill_student, load_checkpoint, load_student,
-                            load_teacher, params_digest, save_checkpoint, train_teacher)
+from mflow.training import (ADAM_BLOCK, Adam, CheckpointError, NumericalAbort, RunConfig,
+                            _lr_at, clip_gradients, distill_student, load_checkpoint,
+                            load_student, load_teacher, params_digest, save_checkpoint,
+                            train_teacher)
 
 
 def tiny_config(**kw):
@@ -22,60 +25,200 @@ def tiny_config(**kw):
     return RunConfig(**args)
 
 
+def named_views(flat, shapes):
+    """Name consecutive slices of ``flat`` with the given shapes."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + int(np.prod(shape))
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    assert start == flat.size
+    return views
+
+
+class ReferenceAdam:
+    """The dict-based Adam the flat one replaced, kept as the reference."""
+
+    def __init__(self, lr):
+        self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8
+        self.step_count = 0
+        self.m, self.v, self._buf_a, self._buf_b = {}, {}, {}, {}
+
+    def step(self, params, grads):
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise NumericalAbort(f"non-finite gradient in parameter {name!r}")
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        out = {}
+        for name, p in params.items():
+            g = grads.get(name)
+            if g is None:
+                g = np.zeros(p.shape)
+            m = self.m.setdefault(name, np.zeros(p.shape))
+            v = self.v.setdefault(name, np.zeros(p.shape))
+            a = self._buf_a.setdefault(name, np.empty(p.shape))
+            b = self._buf_b.setdefault(name, np.empty(p.shape))
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(m, bc1, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.divide(a, b, out=a)
+            out[name] = Tensor(p.data - a, requires_grad=True)
+        return out
+
+    def state_arrays(self):
+        arrays = {}
+        for name, m in self.m.items():
+            arrays[f"adam.m.{name}"] = m
+            arrays[f"adam.v.{name}"] = self.v[name]
+        return arrays
+
+
+def reference_clip(grads, max_norm):
+    """The dict-based clip the flat one replaced, kept as the reference."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if max_norm > 0 and total > max_norm:
+        scale = max_norm / total
+        for name in grads:
+            grads[name] = grads[name] * scale
+        return total, True
+    return total, False
+
+
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         # With bias correction, |update| ~= lr on step one regardless of scale.
-        adam = Adam(lr=0.1)
-        p = {"w": Tensor(np.zeros(3), requires_grad=True)}
-        g = {"w": np.array([5.0, -0.01, 100.0])}
-        out = adam.step(p, g)
-        np.testing.assert_allclose(np.abs(out["w"].data), 0.1, rtol=1e-4)
-        np.testing.assert_allclose(np.sign(out["w"].data), [-1, 1, -1])
+        adam = Adam(3, lr=0.1)
+        p = np.zeros(3)
+        adam.step(p, np.array([5.0, -0.01, 100.0]))
+        np.testing.assert_allclose(np.abs(p), 0.1, rtol=1e-4)
+        np.testing.assert_allclose(np.sign(p), [-1, 1, -1])
 
     def test_converges_on_quadratic(self):
-        adam = Adam(lr=0.05)
-        p = {"w": Tensor(np.array([3.0, -2.0]), requires_grad=True)}
+        adam = Adam(2, lr=0.05)
+        p = np.array([3.0, -2.0])
         for _ in range(500):
-            g = {"w": 2.0 * p["w"].data}
-            p = adam.step(p, g)
-        np.testing.assert_allclose(p["w"].data, 0.0, atol=1e-3)
+            adam.step(p, 2.0 * p)
+        np.testing.assert_allclose(p, 0.0, atol=1e-3)
 
     def test_rejects_nonfinite_gradient(self):
-        adam = Adam()
-        with pytest.raises(NumericalAbort):
-            adam.step({"w": Tensor(np.zeros(1), requires_grad=True)},
-                      {"w": np.array([np.nan])})
+        # the clip's norm is the finiteness check; it aborts before Adam moves anything
+        shapes = {"a": (2, 3), "b": (4,), "c": (1, 2)}
+        p = np.linspace(-1.0, 1.0, 12)
+        grad = np.empty(12)
+        grads = named_views(grad, shapes)
+        adam = Adam(12, lr=0.01)
+        for _ in range(3):
+            grad[:] = np.cos(p)
+            clip_gradients(grad, grads, 1.0)
+            adam.step(p, grad)
+        before = p.copy(), adam.m.copy(), adam.v.copy(), adam.step_count
+        grad[:] = 1.0
+        grads["b"][2] = np.nan
+        grads["c"][0, 1] = np.inf
+        with pytest.raises(NumericalAbort, match="parameter 'b'"):
+            clip_gradients(grad, grads, 1.0)
+            adam.step(p, grad)
+        for kept, now in zip(before, (p, adam.m, adam.v, adam.step_count)):
+            np.testing.assert_array_equal(now, kept)
+
+    @pytest.mark.parametrize("max_norm", [0.0, 1.0])
+    def test_overflowing_norm_aborts(self, max_norm):
+        # every value is finite, but the sum of their squares is not
+        grad = np.array([1e200, -1e200, 3.0])
+        with pytest.raises(NumericalAbort, match="overflows"):
+            clip_gradients(grad, {"w": grad}, max_norm)
+        np.testing.assert_array_equal(grad, [1e200, -1e200, 3.0])
 
     def test_state_roundtrip(self):
-        adam = Adam(lr=0.01)
-        p = {"w": Tensor(np.ones(2), requires_grad=True)}
+        shapes = {"w": (2,), "b": (1, 1)}
+        views = partial(named_views, shapes=shapes)
+        adam = Adam(3, lr=0.01)
+        p = np.ones(3)
         for _ in range(3):
-            p = adam.step(p, {"w": np.array([0.3, -0.7])})
-        clone = Adam(lr=0.01)
-        clone.load_state_arrays(adam.state_arrays(), adam.step_count)
-        a = adam.step(dict(p), {"w": np.array([0.1, 0.1])})["w"].data
-        b = clone.step(dict(p), {"w": np.array([0.1, 0.1])})["w"].data
+            adam.step(p, np.array([0.3, -0.7, 0.2]))
+        clone = Adam(3, lr=0.01)
+        copy_into(clone.state_arrays(views), adam.state_arrays(views))
+        clone.step_count = adam.step_count
+        a, b = p.copy(), p.copy()
+        adam.step(a, np.full(3, 0.1))
+        clone.step(b, np.full(3, 0.1))
         np.testing.assert_array_equal(a, b)
+
+
+# one layout smaller than a block, one over a block and not a multiple of it,
+# and one over two blocks
+FLAT_LAYOUTS = {
+    "under-one-block": {"W": (17, 9), "b": (1, 9), "t": (5,)},
+    "unaligned": {"W": (ADAM_BLOCK // 64, 65), "b": (1, 65), "t": (3, 7)},
+    "over-two-blocks": {"W": (ADAM_BLOCK // 32, 70), "b": (1, 70), "t": (11, 3)},
+}
+
+
+class TestFlatMatchesReference:
+    @pytest.mark.parametrize("clip", [False, True], ids=["no-clip", "clip"])
+    @pytest.mark.parametrize("layout", FLAT_LAYOUTS.values(), ids=FLAT_LAYOUTS.keys())
+    def test_twenty_steps_bitwise_equal(self, layout, clip):
+        size = sum(int(np.prod(shape)) for shape in layout.values())
+        assert size < ADAM_BLOCK or (size % ADAM_BLOCK and size > ADAM_BLOCK)
+        # the gradient norm is about sqrt(size) * scale, scale cycling 0.05 .. 0.2,
+        # so with clipping on, half of the steps clip
+        max_norm = 0.12 * np.sqrt(size) if clip else 0.0
+        rng = np.random.default_rng(size)
+        params = rng.normal(size=size)
+        ref_params = {name: Tensor(w.copy(), requires_grad=True)
+                      for name, w in named_views(params, layout).items()}
+        grad = np.empty(size)
+        grads = named_views(grad, layout)
+        adam, ref = Adam(size), ReferenceAdam(lr=1e-3)
+        clipped = []
+        for step in range(20):
+            adam.lr = ref.lr = 1e-2 * 0.8 ** step
+            drawn = {name: rng.normal(scale=0.05 * (step % 4 + 1), size=shape)
+                     for name, shape in layout.items()}
+            copy_into(grads, drawn)
+            result = clip_gradients(grad, grads, max_norm)
+            assert result == reference_clip(drawn, max_norm)
+            clipped.append(result[1])
+            adam.step(params, grad)
+            ref_params = ref.step(ref_params, drawn)
+        assert any(clipped) == clip
+        assert not all(clipped)
+        for name, view in named_views(params, layout).items():
+            np.testing.assert_array_equal(view, ref_params[name].data)
+            np.testing.assert_array_equal(named_views(adam.m, layout)[name], ref.m[name])
+            np.testing.assert_array_equal(named_views(adam.v, layout)[name], ref.v[name])
 
 
 class TestClip:
     def test_noop_under_limit(self):
-        g = {"a": np.array([3.0, 4.0])}
-        norm, clipped = clip_gradients(g, 10.0)
+        g = np.array([3.0, 4.0])
+        norm, clipped = clip_gradients(g, {"a": g}, 10.0)
         assert norm == 5.0 and not clipped
-        np.testing.assert_array_equal(g["a"], [3.0, 4.0])
+        np.testing.assert_array_equal(g, [3.0, 4.0])
 
     def test_scales_to_max_norm(self):
-        g = {"a": np.array([3.0, 4.0]), "b": np.array([12.0])}
-        norm, clipped = clip_gradients(g, 1.0)
+        g = np.array([3.0, 4.0, 12.0])
+        norm, clipped = clip_gradients(g, {"a": g[:2], "b": g[2:]}, 1.0)
         assert norm == 13.0 and clipped
-        total = np.sqrt(sum(float(np.sum(v * v)) for v in g.values()))
-        assert total == pytest.approx(1.0)
+        assert np.sqrt(np.sum(g * g)) == pytest.approx(1.0)
 
     def test_disabled_when_nonpositive(self):
-        g = {"a": np.array([100.0])}
-        _, clipped = clip_gradients(g, 0.0)
+        g = np.array([100.0])
+        _, clipped = clip_gradients(g, {"a": g}, 0.0)
         assert not clipped
+        assert g[0] == 100.0
 
 
 class TestCheckpointContainer:
@@ -237,6 +380,36 @@ class TestTrainingLoops:
         t2 = load_teacher(resumed)
         assert params_digest(t1.parameters()) == params_digest(t2.parameters())
 
+    def test_checkpoint_matches_reference_loop(self, tmp_path):
+        # the dict-based loop the flat one replaced: per-name grads, reference
+        # clip and Adam, every weight replaced after the step
+        cfg = tiny_config(steps=6, grad_clip=4.0)
+        path = train_teacher(cfg, tmp_path / "run")
+        net, dataset = cfg.build_teacher(), cfg.dataset()
+        rng = np.random.default_rng(cfg.seed)
+        adam = ReferenceAdam(lr=cfg.lr)
+        clipped = []
+        for step in range(cfg.steps):
+            adam.lr = _lr_at(cfg, step)
+            loss = rf_loss(net, make_batch(dataset, cfg.batch_size, rng, ratio_r=0.0))
+            for p in net.parameters().values():
+                p.grad = None
+            loss.backward()
+            grads = {name: p.grad if p.grad is not None else np.zeros(p.shape)
+                     for name, p in net.parameters().items()}
+            clipped.append(reference_clip(grads, cfg.grad_clip)[1])
+            for name, p in adam.step(net.parameters(), grads).items():
+                net.set_parameter(name, p)
+        assert any(clipped) and not all(clipped)
+        expected = {name: p.data for name, p in net.parameters().items()}
+        expected.update(adam.state_arrays())
+        tensors, meta = load_checkpoint(path)
+        assert sorted(tensors) == sorted(expected)
+        for name, arr in expected.items():
+            assert tensors[name].shape == arr.shape, name
+            assert tensors[name].tobytes() == arr.tobytes(), name
+        assert meta["adam_step"] == adam.step_count
+
     def test_distill_produces_student_and_freezes_teacher(self, tmp_path):
         t_path = train_teacher(tiny_config(steps=30), tmp_path / "t")
         before = load_checkpoint(t_path)[0]
@@ -291,3 +464,44 @@ class TestTrainingLoops:
         bad = tiny_config(steps=5, task="toysr", hr_size=16, sr_scale=4)
         with pytest.raises(CheckpointError, match="does not match"):
             distill_student(bad, t_path, tmp_path / "s")
+
+
+class TestResumeRefusal:
+    """A teacher resume that cannot continue the run bit-exactly is refused."""
+
+    @pytest.fixture(scope="class")
+    def half(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("half")
+        train_teacher(tiny_config(steps=4, ckpt_every=2), out)
+        return out / "teacher_step2.ckpt"
+
+    def resume(self, ckpt, out, **kw):
+        return train_teacher(tiny_config(steps=4, ckpt_every=2, **kw), out, resume=str(ckpt))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda tensors, meta: tensors.pop("adam.m.layer0.W"),
+         "missing tensor 'adam.m.layer0.W'"),
+        (lambda tensors, meta: tensors.update(
+            {"adam.v.layer0.b": tensors["adam.v.layer0.b"][:, :3]}),
+         "'adam.v.layer0.b' has shape (1, 8), got (1, 3)"),
+        (lambda tensors, meta: meta.pop("adam_step"), "no valid 'adam_step'"),
+    ], ids=["missing-moment", "misshaped-moment", "missing-adam-step"])
+    def test_incomplete_checkpoint(self, half, tmp_path, edit, message):
+        tensors, meta = load_checkpoint(half)
+        edit(tensors, meta)
+        save_checkpoint(tmp_path / "c.ckpt", tensors, meta)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            self.resume(tmp_path / "c.ckpt", tmp_path / "out")
+        assert not (tmp_path / "out" / "teacher.ckpt").exists()
+
+    def test_student_checkpoint(self, half, tmp_path):
+        s_path = distill_student(tiny_config(steps=2), half, tmp_path / "s")
+        with pytest.raises(CheckpointError, match="does not hold a teacher checkpoint"):
+            self.resume(s_path, tmp_path / "out")
+        assert not (tmp_path / "out" / "teacher.ckpt").exists()
+
+    def test_config_unlike_checkpoint(self, half, tmp_path):
+        with pytest.raises(CheckpointError,
+                           match=re.escape("hidden=[16, 16], the teacher has [8]")):
+            self.resume(half, tmp_path / "out", hidden=[16, 16])
+        assert not (tmp_path / "out" / "teacher.ckpt").exists()
