@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .flow import sample_timestep_batch
 
@@ -66,14 +66,11 @@ def gen_2d(dist_name: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
     if dist_name == "checkerboard":
         # even-parity cells of a 4x4 grid over [-2, 2]^2
-        cells = [(i, j) for i in range(4) for j in range(4) if (i + j) % 2 == 0]
+        cells = np.array([(i, j) for i in range(4) for j in range(4) if (i + j) % 2 == 0],
+                         dtype=np.float64)
         picks = rng.integers(0, len(cells), n)
         offs = rng.uniform(0.0, 1.0, (n, 2))
-        out = np.empty((n, 2))
-        for k, p in enumerate(picks):
-            i, j = cells[p]
-            out[k] = (-2.0 + i + offs[k, 0], -2.0 + j + offs[k, 1])
-        return out
+        return (-2.0 + cells[picks]) + offs
     if dist_name == "two_moons":
         half = rng.random(n) < 0.5
         theta = rng.uniform(0.0, np.pi, n)
@@ -122,6 +119,74 @@ def gen_pattern(class_id: int, height: int, width: int, rng: np.random.Generator
                      "(null/negative label conditioning, not content)")
 
 
+@lru_cache(maxsize=16)
+def _blur_plan(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taps w_0..w_r and the flat indices that pad an (h, w) image by mirroring.
+
+    The taps follow scipy's ``_gaussian_kernel1d`` op for op. Both results are
+    read-only, since every caller with the same key shares them.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    taps = (phi / phi.sum())[radius:]
+
+    def mirror(n: int) -> np.ndarray:
+        # "reflect" edges: d c b a | a b c d | d c b a, repeated with period 2n
+        k = np.arange(-radius, n + radius) % (2 * n)
+        return np.where(k < n, k, 2 * n - 1 - k)
+
+    pad = (mirror(h)[:, None] * w + mirror(w)[None, :]).ravel()
+    for a in (taps, pad):
+        a.setflags(write=False)
+    return taps, pad
+
+
+def _correlate(x: np.ndarray, taps: np.ndarray, step: int, out: np.ndarray) -> None:
+    """out[i] = x[i + r step] w_0 + sum_j (x[i + (r-j) step] + x[i + (r+j) step]) w_j.
+
+    ``x`` and ``out`` are flat. The pairs are added from the farthest inwards:
+    the order of scipy's C ``correlate1d`` for a symmetric kernel, so every
+    sum rounds the same way.
+    """
+    n, r = out.size, len(taps) - 1
+
+    def shifted(k: int) -> np.ndarray:
+        return x[k * step:k * step + n]
+
+    np.multiply(shifted(r), taps[0], out=out)
+    pair = np.empty(n)
+    for j in range(r, 0, -1):
+        np.add(shifted(r - j), shifted(r + j), out=pair)
+        pair *= taps[j]
+        out += pair
+
+
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """2-D Gaussian blur with mirrored edges, bit for bit equal to
+    ``scipy.ndimage.gaussian_filter(img, sigma, mode="reflect")``.
+
+    The kernel is truncated at 4 sigma, radius r. One gather pads both axes
+    by r; the pad columns are copies of image columns, so after the axis-0
+    pass they hold the mirrored columns that the axis-1 pass reads. Both
+    passes run over flat contiguous arrays: along axis 1 the shifted slices
+    cross the row ends, and the values computed there land in the pad
+    columns, which are dropped.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    if sigma <= 1e-15:  # scipy skips such an axis
+        return img.copy()
+    h, w = img.shape
+    taps, pad = _blur_plan(float(sigma), h, w)
+    r = len(taps) - 1
+    wide = w + 2 * r
+    down = np.empty((h, wide))
+    _correlate(img.ravel()[pad], taps, wide, down.ravel())
+    across = np.empty((h, wide))
+    _correlate(down.ravel(), taps, 1, across.ravel()[:h * wide - 2 * r])
+    return np.ascontiguousarray(across[:, :w])
+
+
 def degrade(hr: np.ndarray, params: DegradeParams, rng: np.random.Generator) -> np.ndarray:
     """Blur -> block-mean downsample -> optional quantize -> noise, clamped."""
     hr = np.asarray(hr, dtype=np.float64)
@@ -129,7 +194,7 @@ def degrade(hr: np.ndarray, params: DegradeParams, rng: np.random.Generator) -> 
     k = params.scale
     if h % k != 0 or w % k != 0:
         raise ValueError(f"scale {k} does not divide image dims {hr.shape}")
-    x = gaussian_filter(hr, params.blur_sigma, mode="reflect") if params.blur_sigma > 0 else hr
+    x = gaussian_blur(hr, params.blur_sigma) if params.blur_sigma > 0 else hr
     x = x.reshape(h // k, k, w // k, k).mean(axis=(1, 3))
     if params.quant_levels >= 2:
         levels = params.quant_levels - 1
@@ -146,7 +211,7 @@ def extra_degrade(hr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     scaled by w, so the negative direction must stay small for large w to
     sharpen rather than overshoot.
     """
-    x = gaussian_filter(np.asarray(hr, dtype=np.float64), 0.4, mode="reflect")
+    x = gaussian_blur(hr, 0.4)
     return np.clip(0.97 * x + 0.03 * x.mean(), 0.0, 1.0)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import FieldNet, student_forward, teacher_forward
-from .tensor import Tensor
+from .tensor import Tensor, jvp
 
 CFG_MODES = ("gt", "original_mf", "teacher_null", "teacher_neg")
 
@@ -132,12 +132,8 @@ def _student_jvp(student: FieldNet, z, t, s, z_lr, c, v_inst):
     n = z.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (n, 1))
     s = np.broadcast_to(np.asarray(s, dtype=np.float64).reshape(-1, 1), (n, 1))
-    z_in = Tensor(z, tangent=np.asarray(v_inst, dtype=np.float64))
-    t_in = Tensor(t, tangent=np.ones((n, 1)))
-    s_in = Tensor(s, tangent=np.zeros((n, 1)))
-    u = student_forward(student, z_in, t_in, s_in, z_lr, c)
-    dudt = u.tangent if u.tangent is not None else np.zeros_like(u.data)
-    return u, dudt
+    return jvp(lambda zz, tt, ss: student_forward(student, zz, tt, ss, z_lr, c),
+               (z, t, s), (v_inst, np.ones((n, 1)), np.zeros((n, 1))))
 
 
 def mfd_target(student: FieldNet, v_inst, z, t, s, z_lr, c) -> tuple[Tensor, Tensor]:

@@ -144,10 +144,15 @@ class Tensor:
                       _backward=lambda g: ((a, -g),))
 
     def __sub__(self, other):
-        return self + (-Tensor._lift(other))
+        a, b = self, Tensor._lift(other)
+        _broadcast_shape(a.shape, b.shape)
+        tan = _dual_binary(a, b, lambda ta, tb: ta - tb)
+        return Tensor(a.data - b.data, tangent=tan, _parents=(a, b),
+                      _backward=lambda g: ((a, _unbroadcast(g, a.shape)),
+                                           (b, -_unbroadcast(g, b.shape))))
 
     def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
+        return Tensor._lift(other) - self
 
     def __mul__(self, other):
         a, b = self, Tensor._lift(other)
@@ -160,11 +165,16 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = Tensor._lift(other)
-        return self * b ** -1.0
+        a, b = self, Tensor._lift(other)
+        _broadcast_shape(a.shape, b.shape)
+        out = a.data / b.data
+        tan = _dual_binary(a, b, lambda ta, tb: (ta - out * tb) / b.data)
+        return Tensor(out, tangent=tan, _parents=(a, b),
+                      _backward=lambda g: ((a, _unbroadcast(g / b.data, a.shape)),
+                                           (b, _unbroadcast(-g * out / b.data, b.shape))))
 
     def __rtruediv__(self, other):
-        return Tensor._lift(other) * self ** -1.0
+        return Tensor._lift(other) / self
 
     def __pow__(self, exponent: float):
         a, p = self, float(exponent)
@@ -229,21 +239,29 @@ class Tensor:
     __matmul__ = matmul
 
     def sum(self, axis: int | None = None, keepdims: bool = False):
+        return self._scaled_sum(axis, keepdims, 1.0)
+
+    def mean(self, axis: int | None = None, keepdims: bool = False):
+        n = self.size if axis is None else self.shape[axis]
+        return self._scaled_sum(axis, keepdims, 1.0 / n)
+
+    def _scaled_sum(self, axis: int | None, keepdims: bool, scale: float):
+        """One node for sum * scale; a scale of 1 is skipped, which is exact."""
         a = self
-        out = a.data.sum(axis=axis, keepdims=keepdims)
-        tan = None if a.tangent is None else a.tangent.sum(axis=axis, keepdims=keepdims)
+
+        def scaled(x):
+            return x if scale == 1.0 else x * scale
+
+        out = scaled(a.data.sum(axis=axis, keepdims=keepdims))
+        tan = None if a.tangent is None else scaled(a.tangent.sum(axis=axis, keepdims=keepdims))
 
         def back(g):
-            gg = g
+            gg = scaled(g)
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
             return ((a, np.broadcast_to(gg, a.shape).copy()),)
 
         return Tensor(out, tangent=tan, _parents=(a,), _backward=back)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False):
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def reshape(self, *shape):
         a = self

@@ -167,7 +167,12 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; raises CheckpointError unless the file is well formed."""
+    """Read a checkpoint; raises CheckpointError unless the file is well formed.
+
+    The tensors are read-only views of the bytes read from the file; a caller
+    that needs to write copies them (``FieldNet._from_arrays`` and resuming
+    already copy into the flat vectors).
+    """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
@@ -207,8 +212,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             if dtype != _DTYPE_F64:
                 raise CheckpointError(f"{path}: unknown dtype code {dtype}")
             shape = unpack(f"<{rank}I")
-            arr = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-            tensors[name] = arr.astype(np.float64)
+            tensors[name] = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if left:
             raise CheckpointError(f"{path}: {left} trailing bytes after the last tensor")
     return tensors, meta

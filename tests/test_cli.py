@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflow
 from mflow.cli import run
 from mflow.training import RunConfig, load_checkpoint, load_teacher, params_digest
 
@@ -15,6 +20,16 @@ def base_config(tmp_path, **kw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy alone; scipy is a test dependency
+    code = "import sys, mflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(mflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestParsingAndErrors:

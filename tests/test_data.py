@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 from mflow.data import (DegradeParams, Gen2dDataset, GaussianDataset, ToySrDataset,
                         build_sr_pool, checkerboard_cell_parity, degrade, extra_degrade,
-                        from_signal, gen_2d, gen_pattern, make_batch, read_pgm,
-                        to_signal, write_manifest, write_pgm)
+                        from_signal, gaussian_blur, gen_2d, gen_pattern, make_batch,
+                        read_pgm, to_signal, write_manifest, write_pgm)
+
+
+def checkerboard_loop(n, rng):
+    """The per-point loop that gen_2d("checkerboard") replaced; the reference."""
+    cells = [(i, j) for i in range(4) for j in range(4) if (i + j) % 2 == 0]
+    picks = rng.integers(0, len(cells), n)
+    offs = rng.uniform(0.0, 1.0, (n, 2))
+    out = np.empty((n, 2))
+    for k, p in enumerate(picks):
+        i, j = cells[p]
+        out[k] = (-2.0 + i + offs[k, 0], -2.0 + j + offs[k, 1])
+    return out
 
 
 class TestGen2d:
@@ -24,6 +39,14 @@ class TestGen2d:
         pts = gen_2d("checkerboard", 5000, np.random.default_rng(1))
         assert np.all(checkerboard_cell_parity(pts) == 0)
         assert np.all((pts >= -2.0) & (pts <= 2.0))
+
+    @pytest.mark.parametrize("n", [1, 7, 256, 4096])
+    def test_checkerboard_matches_the_loop(self, n):
+        for seed in range(50):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(gen_2d("checkerboard", n, rng),
+                                          checkerboard_loop(n, ref_rng))
+            assert rng.random() == ref_rng.random()  # same draws consumed
 
     def test_two_moons_two_clusters(self):
         pts = gen_2d("two_moons", 4000, np.random.default_rng(2))
@@ -95,6 +118,34 @@ class TestPatternsAndDegradation:
         img = np.random.default_rng(7).random((4, 4))
         np.testing.assert_allclose(from_signal(to_signal(img)), img, rtol=1e-12)
         assert to_signal(np.array(0.0)) == -1.0 and to_signal(np.array(1.0)) == 1.0
+
+
+class TestGaussianBlur:
+    """gaussian_blur equals scipy's gaussian_filter in "reflect" mode bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), sigma=st.floats(0.01, 3.5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy(self, h, w, sigma, seed):
+        img = np.random.default_rng(seed).random((h, w))
+        np.testing.assert_array_equal(gaussian_blur(img, sigma),
+                                      gaussian_filter(img, sigma, mode="reflect"))
+
+    @pytest.mark.parametrize("size", [32, 8])
+    @pytest.mark.parametrize("sigma", [1.0, 0.4])  # degrade's default, extra_degrade's
+    def test_pipeline_sigmas_match_scipy(self, sigma, size):
+        img = gen_pattern(2, size, size, np.random.default_rng(size))
+        before = img.copy()
+        out = gaussian_blur(img, sigma)
+        np.testing.assert_array_equal(out, gaussian_filter(img, sigma, mode="reflect"))
+        assert out.dtype == np.float64 and out.flags.writeable
+        np.testing.assert_array_equal(img, before)  # the input is not written
+
+    def test_negligible_sigma_is_a_copy(self):
+        img = np.random.default_rng(0).random((5, 4))
+        out = gaussian_blur(img, 1e-300)
+        np.testing.assert_array_equal(out, gaussian_filter(img, 1e-300, mode="reflect"))
+        assert not np.shares_memory(out, img)
 
 
 class TestDatasets:

@@ -3,8 +3,9 @@ import pytest
 from scipy import stats
 
 from mflow.data import FlowBatch
-from mflow.flow import (CFG_MODES, CfgConfig, LossConfig, cfg_velocity, interpolate, mfd_loss,
-                        mfd_target, pseudo_huber, rf_loss, sample_timestep_batch)
+from mflow.flow import (CFG_MODES, CfgConfig, LossConfig, _student_jvp, cfg_velocity,
+                        interpolate, mfd_loss, mfd_target, pseudo_huber, rf_loss,
+                        sample_timestep_batch)
 from mflow.nets import FieldNet, init_student_from_teacher, student_forward
 from mflow.tensor import Tensor
 
@@ -228,6 +229,20 @@ class TestMfdTarget:
         dn = student_forward(student, z - h * v, t - h, s, lr, 1).data
         dudt = (up - dn) / (2 * h)
         np.testing.assert_allclose(target.data, v + (s - t) * dudt, rtol=1e-4, atol=1e-8)
+
+    def test_student_jvp_matches_hand_built_duals(self):
+        student = init_student_from_teacher(make_teacher(seed=9))
+        rng = np.random.default_rng(9)
+        z, v = rng.normal(size=(2, 5, 3))
+        t = rng.random(5)
+        s = t + rng.random(5) * (1.0 - t)
+        lr, c = np.zeros((5, 0)), rng.integers(0, 2, 5)
+        ref = student_forward(student, Tensor(z, tangent=v),
+                              Tensor(t[:, None], tangent=np.ones((5, 1))),
+                              Tensor(s[:, None], tangent=np.zeros((5, 1))), lr, c)
+        u, dudt = _student_jvp(student, z, t, s, lr, c, v)
+        np.testing.assert_array_equal(u.data, ref.data)
+        np.testing.assert_array_equal(dudt, ref.tangent)
 
     def test_target_is_constant(self):
         teacher = make_teacher(seed=8)

@@ -204,6 +204,79 @@ class TestSilu:
         np.testing.assert_array_equal(grads[0], grads[1])
 
 
+def _run(op, a, b, va, vb):
+    """Value, tangent and both gradients of ``(op(A, B) * W).sum()`` at dual leaves."""
+    A = Tensor(a, requires_grad=True, tangent=va)
+    B = Tensor(b, requires_grad=True, tangent=vb)
+    out = op(A, B)
+    weight = np.random.default_rng(0).normal(size=out.shape)
+    (out * Tensor(weight)).sum().backward()
+    return out, (out.data, out.tangent, A.grad, B.grad)
+
+
+class TestOneNodeOps:
+    """``-``, ``/`` and ``mean`` record one node each, with the results of the
+    compositions they replaced: a + (-b), a * b**-1 and sum() * (1 / n)."""
+
+    rng = np.random.default_rng(20)
+    A, VA = rng.normal(size=(2, 4, 3))
+    PAIRS = {"same": rng.normal(size=(4, 3)), "column": rng.normal(size=(4, 1)),
+             "scalar": np.array(rng.normal())}
+
+    @pytest.mark.parametrize("shape", list(PAIRS))
+    def test_sub_is_bit_identical_to_add_neg(self, shape):
+        b = self.PAIRS[shape]
+        vb = 0.5 * b + 0.25
+        out, got = _run(lambda x, y: x - y, self.A, b, self.VA, vb)
+        _, ref = _run(lambda x, y: x + (-y), self.A, b, self.VA, vb)
+        assert len(out._parents) == 2 and all(not p._parents for p in out._parents)
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
+
+    def test_rsub_is_one_node(self):
+        x = Tensor(self.A, requires_grad=True)
+        out = 2.5 - x
+        np.testing.assert_array_equal(out.data, 2.5 + (-self.A))
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, -np.ones_like(self.A))
+        assert all(not p._parents for p in out._parents)
+
+    @pytest.mark.parametrize("shape", list(PAIRS))
+    def test_div_is_within_an_ulp_of_mul_pow(self, shape):
+        b = 0.5 + np.abs(self.PAIRS[shape])  # away from zero
+        vb = 0.5 * b - 0.25
+        out, got = _run(lambda x, y: x / y, self.A, b, self.VA, vb)
+        _, ref = _run(lambda x, y: x * y ** -1.0, self.A, b, self.VA, vb)
+        assert len(out._parents) == 2 and all(not p._parents for p in out._parents)
+        np.testing.assert_array_max_ulp(got[0], ref[0], maxulp=1)
+        for g, r in zip(got[1:], ref[1:]):  # tangent and gradients: a few roundings apart
+            np.testing.assert_allclose(g, r, rtol=1e-14, atol=0)
+
+    def test_rdiv_matches_finite_differences(self):
+        x = 0.5 + np.abs(self.A)
+        leaf = Tensor(x, requires_grad=True)
+        out = 3.0 / leaf
+        np.testing.assert_array_equal(out.data, 3.0 / x)
+        out.sum().backward()
+        h = 1e-6
+        np.testing.assert_allclose(leaf.grad, (3.0 / (x + h) - 3.0 / (x - h)) / (2 * h),
+                                   rtol=1e-6)
+        _, tan = jvp(lambda t: 3.0 / t, x, self.VA)
+        np.testing.assert_allclose(tan, -3.0 / x ** 2 * self.VA, rtol=1e-14)
+
+    @pytest.mark.parametrize("axis, keepdims", [(None, False), (0, False), (1, False),
+                                                (1, True)])
+    def test_mean_is_bit_identical_to_scaled_sum(self, axis, keepdims):
+        n = self.A.size if axis is None else self.A.shape[axis]
+        out, got = _run(lambda x, _: x.mean(axis=axis, keepdims=keepdims),
+                        self.A, np.array(0.0), self.VA, np.array(0.0))
+        _, ref = _run(lambda x, _: x.sum(axis=axis, keepdims=keepdims) * (1.0 / n),
+                      self.A, np.array(0.0), self.VA, np.array(0.0))
+        assert len(out._parents) == 1 and not out._parents[0]._parents
+        for g, r in zip(got[:3], ref[:3]):
+            np.testing.assert_array_equal(g, r)
+
+
 class TestStopGradient:
     def test_value_identical(self):
         x = Tensor([1.0, -2.0])

@@ -12,7 +12,7 @@ from mflow.flow import CfgConfig, LossConfig, rf_loss
 from mflow.nets import copy_into, init_student_from_teacher, teacher_forward
 from mflow.tensor import Tensor
 from mflow.training import (ADAM_BLOCK, Adam, CheckpointError, NumericalAbort, RunConfig,
-                            _lr_at, clip_gradients, distill_student, load_checkpoint,
+                            _load_net, _lr_at, clip_gradients, distill_student, load_checkpoint,
                             load_student, load_teacher, params_digest, save_checkpoint,
                             train_teacher)
 
@@ -234,6 +234,14 @@ class TestCheckpointContainer:
         assert set(back) == set(tensors)
         for k in tensors:
             np.testing.assert_array_equal(back[k], tensors[k])
+            assert not back[k].flags.writeable  # views of the file's bytes
+
+    def test_loaded_net_owns_writable_weights(self, tmp_path):
+        path = train_teacher(tiny_config(steps=2), tmp_path)
+        net, tensors, _ = _load_net(path)
+        assert net.flat.flags.writeable
+        assert not any(np.shares_memory(net.flat, arr) for arr in tensors.values())
+        net.set_parameter("layer0.b", Tensor(np.ones(net.params["layer0.b"].shape)))
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
