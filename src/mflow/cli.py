@@ -41,6 +41,19 @@ def _parse_value(text: str):
         return text
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _resolve_config(args) -> RunConfig:
     data: dict = {}
     if args.config:
@@ -90,16 +103,18 @@ def build_parser() -> _Parser:
         if name in ("sample", "eval"):
             p.add_argument("--ckpt", type=str, default=None,
                            help="student checkpoint (default: OUT/student.ckpt)")
-            p.add_argument("--n", type=int, default=4 if name == "sample" else 512,
-                           help="number of samples")
+            # eval's Gaussian moments need two samples
+            p.add_argument("--n", type=_at_least(1 if name == "sample" else 2),
+                           default=4 if name == "sample" else 512, help="number of samples")
         if name == "sample":
-            p.add_argument("--steps", type=int, default=1, help="sampling steps N")
+            p.add_argument("--steps", type=_at_least(1), default=1, help="sampling steps N")
         if name == "eval":
-            p.add_argument("--steps", type=int, nargs="+", default=[1, 2, 4, 8],
+            p.add_argument("--steps", type=_at_least(1), nargs="+", default=[1, 2, 4, 8],
                            help="step counts to sweep")
         if name == "verify":
-            p.add_argument("--grid", type=int, default=10, help="grid resolution per axis")
-            p.add_argument("--steps", type=int, default=1024, help="integrator steps")
+            p.add_argument("--grid", type=_at_least(1), default=10,
+                           help="grid resolution per axis")
+            p.add_argument("--steps", type=_at_least(1), default=1024, help="integrator steps")
     p = sub.add_parser("inspect", help="print a checkpoint's role, steps, parameter count "
                                        "and digests as one JSON line")
     p.add_argument("ckpt", help="checkpoint file")

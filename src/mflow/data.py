@@ -52,9 +52,6 @@ class FlowBatch:
     t: np.ndarray       # (B,)
     s: np.ndarray       # (B,)
 
-    def __len__(self) -> int:
-        return self.z0.shape[0]
-
 
 def gen_2d(dist_name: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. samples from a named 2-D toy distribution, shape (n, 2)."""
@@ -79,12 +76,6 @@ def gen_2d(dist_name: str, n: int, rng: np.random.Generator) -> np.ndarray:
         noise = rng.normal(0.0, 0.05, (n, 2))
         return np.stack([x, y], axis=1) + noise
     raise ValueError(f"unknown 2-D distribution {dist_name!r}; valid: {GEN2D_NAMES}")
-
-
-def checkerboard_cell_parity(points: np.ndarray) -> np.ndarray:
-    """Parity of the grid cell each point falls in (0 = allowed cells)."""
-    ij = np.floor(points + 2.0).astype(int)
-    return (ij[:, 0] + ij[:, 1]) % 2
 
 
 def gen_pattern(class_id: int, height: int, width: int, rng: np.random.Generator) -> np.ndarray:
@@ -257,6 +248,10 @@ class ToySrDataset:
     hr_size: int = 32
     num_content: int = 3
     params: DegradeParams = field(default_factory=DegradeParams)
+
+    def __post_init__(self):
+        if self.hr_size % self.params.scale:
+            raise ValueError(f"scale {self.params.scale} does not divide hr_size {self.hr_size}")
 
     @property
     def lr_size(self) -> int:

@@ -36,10 +36,6 @@ class CfgConfig:
         if not 0.0 <= self.kappa < 1.0:
             raise ValueError("kappa must lie in [0, 1)")
 
-    @property
-    def effective_scale(self) -> float:
-        return self.w / (1.0 - self.kappa)
-
 
 @dataclass
 class LossConfig:
@@ -142,17 +138,6 @@ def mfd_target(student: FieldNet, v_inst, z, t, s, z_lr, c) -> tuple[Tensor, Ten
     u, dudt = _student_jvp(student, z, t, s, z_lr, c, v_inst)
     gap = np.asarray(s, dtype=np.float64).reshape(-1, 1) - np.asarray(t, dtype=np.float64).reshape(-1, 1)
     return u, Tensor(v_inst + gap * dudt)
-
-
-def pseudo_huber(a, b, huber_c: float) -> float:
-    """sqrt(||a - b||^2 + c^2) - c over the full tensors."""
-    if huber_c <= 0:
-        raise ValueError("huber_c must be positive")
-    a = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    b = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2) + huber_c ** 2) - huber_c)
 
 
 def rf_loss(teacher, batch) -> Tensor:

@@ -1,14 +1,12 @@
-"""Inference for teacher and student, plus desk-scale evaluation metrics."""
+"""The few-step sampler, plus desk-scale evaluation metrics."""
 
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
 from .data import GaussianDataset, Gen2dDataset, SrPair, ToySrDataset, from_signal, gen_2d, to_signal
-from .flow import CfgConfig, _teacher_eval
 from .nets import FieldNet, student_forward
 from .oracle import AnalyticFlow
 
@@ -19,43 +17,19 @@ def _eval_student(student, z, t: float, s: float, z_lr, c) -> np.ndarray:
     return np.asarray(student(z, t, s, z_lr, c), dtype=np.float64)
 
 
-def sample_student(student, z0: np.ndarray, z_lr, c, n_steps: int,
-                   grid=None, record: bool = False):
-    """N applications of z <- z + (tau_{n+1} - tau_n) u(z, tau_n, tau_{n+1}).
+def sample_student(student, z0: np.ndarray, z_lr, c, n_steps: int) -> np.ndarray:
+    """N applications of z <- z + (tau_{n+1} - tau_n) u(z, tau_n, tau_{n+1})
+    over the uniform time points 0 = tau_1 < ... < tau_{N+1} = 1.
 
-    ``student`` is a FieldNet or a callable u(z, t, s, z_lr, c); ``grid``
-    overrides the default uniform time points 0 = tau_1 < ... < tau_{N+1} = 1.
+    ``student`` is a FieldNet or a callable u(z, t, s, z_lr, c). A teacher's
+    Euler sampler is the same rule with u(z, t, s) = v(z, t).
     """
     if n_steps < 1:
         raise ValueError("need at least one sampling step")
-    taus = np.linspace(0.0, 1.0, n_steps + 1) if grid is None else np.asarray(grid, dtype=np.float64)
-    if taus[0] != 0.0 or taus[-1] != 1.0 or np.any(np.diff(taus) <= 0):
-        raise ValueError("time grid must be strictly increasing from 0 to 1")
+    taus = np.linspace(0.0, 1.0, n_steps + 1)
     z = np.asarray(z0, dtype=np.float64).copy()
-    states = [z.copy()] if record else None
     for t, s in zip(taus[:-1], taus[1:]):
         z = z + (s - t) * _eval_student(student, z, float(t), float(s), z_lr, c)
-        if record:
-            states.append(z.copy())
-    return (z, states) if record else z
-
-
-def sample_teacher_euler(teacher, z0: np.ndarray, z_lr, c, n_steps: int,
-                         cfg: CfgConfig | None = None) -> np.ndarray:
-    """Euler integration x <- x + (1/N) v(x, t), optionally with teacher CFG."""
-    if n_steps < 1:
-        raise ValueError("need at least one Euler step")
-    if cfg is not None and cfg.mode not in ("teacher_null", "teacher_neg"):
-        raise ValueError("inference-time guidance supports only the teacher CFG modes")
-    z = np.asarray(z0, dtype=np.float64).copy()
-    h = 1.0 / n_steps
-    for i in range(n_steps):
-        t = i * h
-        v = _teacher_eval(teacher, z, t, z_lr, c)
-        if cfg is not None and cfg.w != 0.0:
-            ref = "null" if cfg.mode == "teacher_null" else "negative"
-            v = v + cfg.w * (v - _teacher_eval(teacher, z, t, z_lr, ref))
-        z = z + h * v
     return z
 
 
@@ -125,8 +99,7 @@ def sr_infer(student, pair: SrPair, dataset: ToySrDataset, n_steps: int,
 # -- sweep report ----------------------------------------------------------------
 
 def steps_sweep(student, dataset, n_list, seed: int, n_samples: int,
-                flow: AnalyticFlow | None = None, pool: list[SrPair] | None = None,
-                out_path=None) -> list[dict]:
+                pool: list[SrPair] | None = None) -> list[dict]:
     """Evaluate the student at several step counts; one CSV row per metric.
 
     Metric depends on the dataset: moment errors for the Gaussian task,
@@ -137,8 +110,7 @@ def steps_sweep(student, dataset, n_list, seed: int, n_samples: int,
     for n in n_list:
         rng = np.random.default_rng(seed)
         if isinstance(dataset, GaussianDataset):
-            if flow is None:
-                flow = AnalyticFlow(dim=dataset.dim, mu=dataset.mu, sigma=dataset.sigma)
+            flow = AnalyticFlow(dim=dataset.dim, mu=dataset.mu, sigma=dataset.sigma)
             z0 = rng.standard_normal((n_samples, dataset.dim))
             z_lr = np.zeros((n_samples, 0))
             out = sample_student(student, z0, z_lr, 0, n)
@@ -163,8 +135,6 @@ def steps_sweep(student, dataset, n_list, seed: int, n_samples: int,
             rows.append({"N": n, "metric_name": "psnr_mean",
                          "value": float(np.mean(vals)),
                          "n_samples": len(pairs), "seed": seed})
-    if out_path is not None:
-        write_sweep_csv(out_path, rows)
     return rows
 
 

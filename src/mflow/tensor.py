@@ -88,10 +88,6 @@ class Tensor:
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def detach(self) -> "Tensor":
-        """Value-identical tensor cut off from the tape and from tangents."""
-        return Tensor(self.data)
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf."""
         if self.data.shape != ():
@@ -164,18 +160,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        a, b = self, Tensor._lift(other)
-        _broadcast_shape(a.shape, b.shape)
-        out = a.data / b.data
-        tan = _dual_binary(a, b, lambda ta, tb: (ta - out * tb) / b.data)
-        return Tensor(out, tangent=tan, _parents=(a, b),
-                      _backward=lambda g: ((a, _unbroadcast(g / b.data, a.shape)),
-                                           (b, _unbroadcast(-g * out / b.data, b.shape))))
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
-
     def __pow__(self, exponent: float):
         a, p = self, float(exponent)
         out = a.data ** p
@@ -188,13 +172,6 @@ class Tensor:
 
     def sqrt(self):
         return self ** 0.5
-
-    def exp(self):
-        a = self
-        out = np.exp(a.data)
-        tan = None if a.tangent is None else out * a.tangent
-        return Tensor(out, tangent=tan, _parents=(a,),
-                      _backward=lambda g: ((a, g * out),))
 
     def sin(self):
         a = self
@@ -340,11 +317,6 @@ def gather_rows(table: Tensor, idx) -> Tensor:
         return ((table, gt),)
 
     return Tensor(out, tangent=tan, _parents=(table,), _backward=back)
-
-
-def stop_gradient(x: Tensor) -> Tensor:
-    """Value-identical tensor; zero gradient to ancestors, zero tangent."""
-    return Tensor._lift(x).detach()
 
 
 def jvp(f: Callable, xs, vs) -> tuple[Tensor, np.ndarray]:

@@ -268,6 +268,16 @@ class RunConfig:
             raise ValueError("steps and batch_size must be positive")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        if self.log_every < 1 or self.ckpt_every < 0:
+            raise ValueError("log_every must be >= 1 and ckpt_every >= 0")
+        if self.time_dim % 2:
+            raise ValueError("time_dim must be even")
+        if not isinstance(self.hidden, (list, tuple)) or not all(
+                isinstance(h, int) and h > 0 for h in self.hidden):
+            raise ValueError("hidden must be a list of positive layer widths")
+        if self.gauss_sigma <= 0:
+            raise ValueError("gauss_sigma must be positive")
+        self.dataset()  # the dataset checks its own fields
         if isinstance(self.cfg, dict):
             self.cfg = CfgConfig(**self.cfg)
         if isinstance(self.loss, dict):
@@ -354,11 +364,18 @@ def _backward_into(loss: Tensor, params: dict[str, Tensor],
 
 
 class _TrainLog:
-    def __init__(self, path):
+    def __init__(self, path, start: int):
+        """A run resumed at step ``start`` keeps the rows logged before it."""
         self.path = Path(path)
+        kept = []
+        if start > 0 and self.path.exists():
+            with open(self.path, newline="") as fh:
+                kept = [row for row in list(csv.reader(fh))[1:]
+                        if row and row[0].isdigit() and int(row[0]) < start]
         self.fh = open(self.path, "w", newline="")
         self.writer = csv.writer(self.fh)
         self.writer.writerow(["step", "loss", "grad_norm", "wall_ms"])
+        self.writer.writerows(kept)
 
     def row(self, step: int, loss: float, grad_norm: float, wall_ms: float) -> None:
         self.writer.writerow([step, f"{loss:.10g}", f"{grad_norm:.10g}", f"{wall_ms:.3f}"])
@@ -444,7 +461,7 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
     params = net.parameters()
     grad = np.empty_like(net.flat)
     grads = net.views(grad)
-    log = _TrainLog(out / f"{role}_log.csv")
+    log = _TrainLog(out / f"{role}_log.csv", start)
     try:
         for step in range(start, config.steps):
             t0 = time.perf_counter()

@@ -18,13 +18,18 @@ from mflow.nets import FieldNet, init_student_from_teacher, student_forward, tea
 from mflow.oracle import (AnalyticFlow, exact_avg_velocity, exact_velocity,
                           identity_residual, identity_residual_grid)
 from mflow.sampling import (block_upsample, hf_band_energy, moment_distance, psnr,
-                            sample_student, sample_teacher_euler, sr_infer, steps_sweep,
-                            write_sweep_csv)
+                            sample_student, sr_infer, steps_sweep, write_sweep_csv)
 from mflow.tensor import Tensor, jvp
 from mflow.training import RunConfig, distill_student, load_student, load_teacher, train_teacher
 
 GAUSS_MU = [1.0, -0.5]
 GAUSS_SIGMA = 1.0
+
+
+def _euler(teacher):
+    """The teacher as a sampler field u(z, t, s) = v(z, t), so that
+    ``sample_student`` takes Euler steps."""
+    return lambda z, t, s, z_lr, c: teacher_forward(teacher, z, t, z_lr, c).data
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
@@ -193,7 +198,7 @@ def test_teacher_quality(gauss_teacher, analytic, eval_noise):
         pred = teacher_forward(teacher, xs, t, lr, 0).data
         sq.append((pred - exact_velocity(analytic, xs, t)) ** 2)
     vel_mse = float(np.mean(sq))
-    samples = sample_teacher_euler(teacher, eval_noise, None, 0, 256)
+    samples = sample_student(_euler(teacher), eval_noise, None, 0, 256)
     mean_err, cov_err = moment_distance(samples, analytic)
     ok = (vel_mse < 0.05 and mean_err < 0.1 and cov_err < 0.1 * GAUSS_SIGMA ** 2
           and train_time < 300.0)
@@ -207,7 +212,7 @@ def test_teacher_quality(gauss_teacher, analytic, eval_noise):
 def test_distillation_quality(gauss_teacher, gauss_student, analytic, eval_noise):
     teacher = load_teacher(gauss_teacher[0])
     student = load_student(gauss_student)
-    t_moments = moment_distance(sample_teacher_euler(teacher, eval_noise, None, 0, 256),
+    t_moments = moment_distance(sample_student(_euler(teacher), eval_noise, None, 0, 256),
                                 analytic)
     one = moment_distance(sample_student(student, eval_noise, None, 0, 1), analytic)
     two = moment_distance(sample_student(student, eval_noise, None, 0, 2), analytic)
@@ -286,8 +291,8 @@ def test_ratio_ablation_harness(work_dir, gauss_teacher):
                         gauss_mu=GAUSS_MU, gauss_sigma=GAUSS_SIGMA)
         out = work_dir / f"ratio_{ratio}"
         student = load_student(distill_student(cfg, gauss_teacher[0], out))
-        rows = steps_sweep(student, cfg.dataset(), [1, 2], seed=31, n_samples=512,
-                           out_path=out / "sweep.csv")
+        write_sweep_csv(out / "sweep.csv",
+                        steps_sweep(student, cfg.dataset(), [1, 2], seed=31, n_samples=512))
         rows_by_ratio[ratio] = (out / "sweep.csv").read_text().splitlines()
     headers = {lines[0] for lines in rows_by_ratio.values()}
     lengths = {len(lines) for lines in rows_by_ratio.values()}
@@ -314,8 +319,8 @@ def test_bit_exact_reproducibility(work_dir):
         t_path = train_teacher(cfg, out / "t")
         s_path = distill_student(cfg, t_path, out / "s")
         student = load_student(s_path)
-        rows = steps_sweep(student, cfg.dataset(), [1, 2, 4], seed=7, n_samples=256,
-                           out_path=out / "sweep.csv")
+        write_sweep_csv(out / "sweep.csv",
+                        steps_sweep(student, cfg.dataset(), [1, 2, 4], seed=7, n_samples=256))
         grid = identity_residual_grid(AnalyticFlow(dim=2, mu=np.array(GAUSS_MU),
                                                    sigma=GAUSS_SIGMA),
                                       [0.0, 0.4], [0.6, 1.0],

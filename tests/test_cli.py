@@ -49,6 +49,28 @@ class TestParsingAndErrors:
         assert run(["train-teacher", "--set", "nokey", "--out", str(tmp_path)]) == 1
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train-teacher", "--set", "log_every=0"],
+        ["distill", "--set", "log_every=0"],
+        ["train-teacher", "--set", "ckpt_every=-1"],
+        ["train-teacher", "--set", "time_dim=7"],
+        ["train-teacher", "--set", "hidden=5"],
+        ["train-teacher", "--set", "task=toysr", "--set", "hr_size=30"],
+        ["verify", "--set", "gauss_sigma=0"],
+        ["eval", "--set", "gauss_sigma=-1"],
+        ["sample", "--steps", "0"],
+        ["sample", "--n", "0"],
+        ["sample", "--n", "-1"],
+        ["eval", "--steps", "0"],
+        ["eval", "--n", "1"],
+        ["verify", "--grid", "0"],
+    ])
+    def test_out_of_range_value_is_one_usage_line(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert run(["train-teacher", "--config", str(tmp_path / "none.json"),
                     "--out", str(tmp_path)]) == 3

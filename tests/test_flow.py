@@ -4,7 +4,7 @@ from scipy import stats
 
 from mflow.data import FlowBatch
 from mflow.flow import (CFG_MODES, CfgConfig, LossConfig, _student_jvp, cfg_velocity,
-                        interpolate, mfd_loss, mfd_target, pseudo_huber, rf_loss,
+                        interpolate, mfd_loss, mfd_target, rf_loss,
                         sample_timestep_batch)
 from mflow.nets import FieldNet, init_student_from_teacher, student_forward
 from mflow.tensor import Tensor
@@ -84,10 +84,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             CfgConfig(kappa=1.0)
 
-    def test_effective_scale(self):
-        assert CfgConfig(mode="original_mf", w=3.0, kappa=0.5).effective_scale == 6.0
-        assert CfgConfig(w=2.0).effective_scale == 2.0
-
     def test_loss_validation_and_default_huber_c(self):
         with pytest.raises(ValueError):
             LossConfig(metric="l1")
@@ -153,24 +149,51 @@ class TestCfgVelocity:
 
 
 class TestPseudoHuber:
+    """mfd_loss(metric="pseudo_huber") is mean_i sqrt(||u_i - target_i||^2 + c^2) - c."""
+
+    def parts(self, seed, same_ts=False):
+        teacher = make_teacher(seed=seed)
+        student = init_student_from_teacher(teacher)
+        batch = make_batch(np.random.default_rng(seed), n=8, same_ts=same_ts)
+        return student, teacher, batch
+
+    def residual_norms_sq(self, student, teacher, batch, cfg):
+        z_t = interpolate(batch.z0, batch.z1, batch.t)
+        v = cfg_velocity(teacher, z_t, batch.t, batch.z_lr, batch.labels, cfg,
+                         student=student, z0=batch.z0, z1=batch.z1)
+        u, target = mfd_target(student, v, z_t, batch.t, batch.s, batch.z_lr, batch.labels)
+        return np.sum((u.data - target.data) ** 2, axis=1)
+
     def test_zero_for_identical(self):
-        x = np.random.default_rng(0).normal(size=(3, 3))
-        assert pseudo_huber(x, x, 0.1) == 0.0
+        # s == t and a student cloned from the teacher: the residual is exactly zero
+        student, teacher, batch = self.parts(20, same_ts=True)
+        val = mfd_loss(student, teacher, batch, CfgConfig(mode="teacher_null", w=0.0),
+                       LossConfig()).item()
+        assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_known_value(self):
-        a, b = np.array([3.0, 0.0]), np.array([0.0, 4.0])  # ||a - b|| = 5
-        assert pseudo_huber(a, b, 1.0) == pytest.approx(np.sqrt(26.0) - 1.0)
+        student, teacher, batch = self.parts(21)
+        cfg = CfgConfig(mode="teacher_neg", w=6.0)
+        sq = self.residual_norms_sq(student, teacher, batch, cfg)
+        for huber_c, c in ((None, 0.03 * np.sqrt(3)), (0.5, 0.5)):
+            expected = np.mean(np.sqrt(sq + c * c)) - c
+            got = mfd_loss(student, teacher, batch, cfg, LossConfig(huber_c=huber_c)).item()
+            assert expected > 1e-3
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_quadratic_near_zero_linear_far(self):
-        c = 1.0
-        small = pseudo_huber(np.array([1e-4]), np.array([0.0]), c)
-        assert small == pytest.approx(1e-8 / (2 * c), rel=1e-3)
-        big = pseudo_huber(np.array([1e4]), np.array([0.0]), c)
-        assert big == pytest.approx(1e4 - c, rel=1e-6)
+        student, teacher, batch = self.parts(22)
+        cfg = CfgConfig(mode="teacher_neg", w=6.0)
+        sq = self.residual_norms_sq(student, teacher, batch, cfg)
+        wide = mfd_loss(student, teacher, batch, cfg, LossConfig(huber_c=1e4)).item()
+        assert wide == pytest.approx(np.mean(sq) / 2e4, rel=1e-3)
+        narrow = mfd_loss(student, teacher, batch, cfg, LossConfig(huber_c=1e-9)).item()
+        assert narrow == pytest.approx(np.mean(np.sqrt(sq)), rel=1e-6)
 
     def test_invalid_c(self):
-        with pytest.raises(ValueError):
-            pseudo_huber(np.zeros(2), np.zeros(2), 0.0)
+        for c in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                LossConfig(huber_c=c)
 
 
 class TestRfLoss:

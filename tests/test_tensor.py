@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflow.tensor import (ShapeError, Tensor, concat, gather_rows, jvp, repeat_rows,
-                          stop_gradient)
+from mflow.tensor import ShapeError, Tensor, concat, gather_rows, jvp, repeat_rows
 
 
 def _rand_mlp(rng, sizes):
@@ -145,8 +144,9 @@ class TestBackward:
             np.testing.assert_allclose(w.grad, g_fd, rtol=1e-4, atol=1e-7)
 
     def test_backward_on_detached_gives_zero(self):
+        # a Tensor of another's value is a new leaf, as mfd_target's target is
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = stop_gradient((x * x).sum())
+        loss = Tensor((x * x).sum().data)
         loss.backward()  # no error
         assert x.grad is None  # treated as zero downstream
 
@@ -215,8 +215,8 @@ def _run(op, a, b, va, vb):
 
 
 class TestOneNodeOps:
-    """``-``, ``/`` and ``mean`` record one node each, with the results of the
-    compositions they replaced: a + (-b), a * b**-1 and sum() * (1 / n)."""
+    """``-`` and ``mean`` record one node each, with the results of the
+    compositions they replaced: a + (-b) and sum() * (1 / n)."""
 
     rng = np.random.default_rng(20)
     A, VA = rng.normal(size=(2, 4, 3))
@@ -241,29 +241,6 @@ class TestOneNodeOps:
         np.testing.assert_array_equal(x.grad, -np.ones_like(self.A))
         assert all(not p._parents for p in out._parents)
 
-    @pytest.mark.parametrize("shape", list(PAIRS))
-    def test_div_is_within_an_ulp_of_mul_pow(self, shape):
-        b = 0.5 + np.abs(self.PAIRS[shape])  # away from zero
-        vb = 0.5 * b - 0.25
-        out, got = _run(lambda x, y: x / y, self.A, b, self.VA, vb)
-        _, ref = _run(lambda x, y: x * y ** -1.0, self.A, b, self.VA, vb)
-        assert len(out._parents) == 2 and all(not p._parents for p in out._parents)
-        np.testing.assert_array_max_ulp(got[0], ref[0], maxulp=1)
-        for g, r in zip(got[1:], ref[1:]):  # tangent and gradients: a few roundings apart
-            np.testing.assert_allclose(g, r, rtol=1e-14, atol=0)
-
-    def test_rdiv_matches_finite_differences(self):
-        x = 0.5 + np.abs(self.A)
-        leaf = Tensor(x, requires_grad=True)
-        out = 3.0 / leaf
-        np.testing.assert_array_equal(out.data, 3.0 / x)
-        out.sum().backward()
-        h = 1e-6
-        np.testing.assert_allclose(leaf.grad, (3.0 / (x + h) - 3.0 / (x - h)) / (2 * h),
-                                   rtol=1e-6)
-        _, tan = jvp(lambda t: 3.0 / t, x, self.VA)
-        np.testing.assert_allclose(tan, -3.0 / x ** 2 * self.VA, rtol=1e-14)
-
     @pytest.mark.parametrize("axis, keepdims", [(None, False), (0, False), (1, False),
                                                 (1, True)])
     def test_mean_is_bit_identical_to_scaled_sum(self, axis, keepdims):
@@ -275,29 +252,6 @@ class TestOneNodeOps:
         assert len(out._parents) == 1 and not out._parents[0]._parents
         for g, r in zip(got[:3], ref[:3]):
             np.testing.assert_array_equal(g, r)
-
-
-class TestStopGradient:
-    def test_value_identical(self):
-        x = Tensor([1.0, -2.0])
-        np.testing.assert_array_equal(stop_gradient(x).data, x.data)
-
-    def test_frozen_factor_product_rule(self):
-        x = Tensor([1.0, 2.0, -3.0], requires_grad=True)
-        (stop_gradient(x) * x).sum().backward()
-        np.testing.assert_array_equal(x.grad, x.data)
-
-    def test_tangent_is_zero(self):
-        _, tan = jvp(lambda x: stop_gradient(x * x), np.array([2.0]), np.array([1.0]))
-        np.testing.assert_array_equal(tan, [0.0])
-
-    def test_projection(self):
-        x = Tensor([3.0], requires_grad=True, tangent=np.array([1.0]))
-        once = stop_gradient(x)
-        twice = stop_gradient(once)
-        np.testing.assert_array_equal(once.data, twice.data)
-        assert once.tangent is None and twice.tangent is None
-        assert not once._parents and not twice._parents
 
 
 class TestDeterminism:
@@ -333,11 +287,3 @@ def test_jvp_linearity_property(xs, a, b):
     _, t2 = jvp(f, x, v2)
     _, t3 = jvp(f, x, a * v1 + b * v2)
     np.testing.assert_allclose(t3, a * t1 + b * t2, rtol=1e-9, atol=1e-9)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=8))
-def test_stop_gradient_idempotent_property(xs):
-    x = Tensor(np.asarray(xs))
-    np.testing.assert_array_equal(stop_gradient(stop_gradient(x)).data,
-                                  stop_gradient(x).data)

@@ -388,6 +388,19 @@ class TestTrainingLoops:
         t2 = load_teacher(resumed)
         assert params_digest(t1.parameters()) == params_digest(t2.parameters())
 
+    def test_resume_keeps_earlier_log_rows(self, tmp_path):
+        cfg = tiny_config(steps=6, log_every=1, ckpt_every=3)
+        train_teacher(cfg, tmp_path / "full")
+        train_teacher(cfg, tmp_path / "run")
+        train_teacher(cfg, tmp_path / "run", resume=str(tmp_path / "run" / "teacher_step3.ckpt"))
+
+        def column(run, i):
+            rows = (tmp_path / run / "teacher_log.csv").read_text().splitlines()[1:]
+            return [row.split(",")[i] for row in rows]
+
+        assert column("run", 0) == column("full", 0) == [str(step) for step in range(6)]
+        assert column("run", 1) == column("full", 1)
+
     def test_checkpoint_matches_reference_loop(self, tmp_path):
         # the dict-based loop the flat one replaced: per-name grads, reference
         # clip and Adam, every weight replaced after the step
