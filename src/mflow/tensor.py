@@ -131,8 +131,6 @@ class Tensor:
                       _backward=lambda g: ((a, _unbroadcast(g, a.shape)),
                                            (b, _unbroadcast(g, b.shape))))
 
-    __radd__ = __add__
-
     def __neg__(self):
         a = self
         tan = None if a.tangent is None else -a.tangent
@@ -147,9 +145,6 @@ class Tensor:
                       _backward=lambda g: ((a, _unbroadcast(g, a.shape)),
                                            (b, -_unbroadcast(g, b.shape))))
 
-    def __rsub__(self, other):
-        return Tensor._lift(other) - self
-
     def __mul__(self, other):
         a, b = self, Tensor._lift(other)
         _broadcast_shape(a.shape, b.shape)
@@ -157,8 +152,6 @@ class Tensor:
         return Tensor(a.data * b.data, tangent=tan, _parents=(a, b),
                       _backward=lambda g: ((a, _unbroadcast(g * b.data, a.shape)),
                                            (b, _unbroadcast(g * a.data, b.shape))))
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: float):
         a, p = self, float(exponent)

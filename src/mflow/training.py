@@ -228,6 +228,10 @@ def params_digest(params: dict[str, Tensor]) -> str:
 
 # -- run configuration -------------------------------------------------------------
 
+_INT_FIELDS = ("seed", "steps", "batch_size", "log_every", "ckpt_every", "time_dim",
+               "cond_dim", "hr_size", "num_content", "sr_scale", "quant_levels", "train_pool")
+
+
 @dataclass
 class RunConfig:
     """Full experiment description; serialized next to every artifact."""
@@ -242,7 +246,7 @@ class RunConfig:
     time_dim: int = 32
     cond_dim: int = 16
     teacher_c_noise: float = 1.0
-    grad_clip: float = 10.0
+    grad_clip: float = 10.0      # <= 0 disables clipping
     log_every: int = 100
     ckpt_every: int = 0          # 0 = final checkpoint only
     teacher_ckpt: str = ""
@@ -264,14 +268,23 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in ("gen2d", "gaussian", "toysr"):
             raise ValueError(f"unknown task {self.task!r}")
+        not_int = [name for name in _INT_FIELDS if type(getattr(self, name)) is not int]
+        if not_int:
+            raise ValueError(f"expected an integer for {', '.join(not_int)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         if self.log_every < 1 or self.ckpt_every < 0:
             raise ValueError("log_every must be >= 1 and ckpt_every >= 0")
-        if self.time_dim % 2:
-            raise ValueError("time_dim must be even")
+        if self.time_dim < 2 or self.time_dim % 2:
+            raise ValueError("time_dim must be even and >= 2")
+        if self.cond_dim < 1 or self.num_content < 1:
+            raise ValueError("cond_dim and num_content must be >= 1")
+        if not 0.0 <= self.neg_pair_prob <= 1.0:
+            raise ValueError("neg_pair_prob must lie in [0, 1]")
         if not isinstance(self.hidden, (list, tuple)) or not all(
                 isinstance(h, int) and h > 0 for h in self.hidden):
             raise ValueError("hidden must be a list of positive layer widths")
@@ -497,12 +510,11 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
         teacher = config.build_teacher()
         adam = Adam(teacher.param_count(), lr=config.lr)
         start, rng = 0, np.random.default_rng(config.seed)
-    neg_prob = config.neg_pair_prob if config.task == "toysr" else 0.0
     pool = _sr_train_pool(config, dataset)
     return _run_steps(
         config, teacher, adam, rng, start, out, "teacher",
         lambda rng: make_batch(dataset, config.batch_size, rng, ratio_r=0.0,
-                               neg_pair_prob=neg_prob, pool=pool),
+                               neg_pair_prob=config.neg_pair_prob, pool=pool),
         lambda batch: rf_loss(teacher, batch))
 
 

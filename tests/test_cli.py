@@ -64,6 +64,14 @@ class TestParsingAndErrors:
         ["eval", "--steps", "0"],
         ["eval", "--n", "1"],
         ["verify", "--grid", "0"],
+        ["train-teacher", "--set", "seed=-1"],
+        ["train-teacher", "--set", "steps=1.5"],
+        ["train-teacher", "--set", "batch_size=2.5"],
+        ["train-teacher", "--set", "steps=true"],
+        ["train-teacher", "--set", "cond_dim=-1"],
+        ["train-teacher", "--set", "task=toysr", "--set", "num_content=0"],
+        ["train-teacher", "--set", "neg_pair_prob=2"],
+        ["train-teacher", "--set", "time_dim=0"],
     ])
     def test_out_of_range_value_is_one_usage_line(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path)]) == 1

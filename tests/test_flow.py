@@ -6,7 +6,7 @@ from mflow.data import FlowBatch
 from mflow.flow import (CFG_MODES, CfgConfig, LossConfig, _student_jvp, cfg_velocity,
                         interpolate, mfd_loss, mfd_target, rf_loss,
                         sample_timestep_batch)
-from mflow.nets import FieldNet, init_student_from_teacher, student_forward
+from mflow.nets import FieldNet, init_student_from_teacher, student_forward, teacher_forward
 from mflow.tensor import Tensor
 
 
@@ -94,13 +94,15 @@ class TestConfigs:
 
 
 class TestCfgVelocity:
-    def stub(self, z, t, z_lr, c):
-        # Velocity depends on the condition so guidance arms differ.
-        if c == "null":
-            return np.zeros_like(z)
-        if c == "negative":
-            return -np.ones_like(z)
-        return z + 1.0
+    def parts(self, seed):
+        rng = np.random.default_rng(seed)
+        return (make_teacher(seed=seed), rng.normal(size=(3, 3)), rng.random(3),
+                np.zeros((3, 0)), np.array([0, 1, 0]))
+
+    def guided(self, teacher, z, t, z_lr, c, ref, w):
+        v_c = teacher_forward(teacher, z, t, z_lr, c).data
+        v_ref = teacher_forward(teacher, z, t, z_lr, ref).data
+        return v_c + w * (v_c - v_ref)
 
     def test_gt_mode(self):
         rng = np.random.default_rng(0)
@@ -112,23 +114,27 @@ class TestCfgVelocity:
             cfg_velocity(None, z0, 0.1, None, 0, CfgConfig(mode="gt", w=0.0))
 
     def test_teacher_modes_unguided_at_w_zero(self):
-        z = np.random.default_rng(1).normal(size=(3, 2))
-        v_c = self.stub(z, 0.2, None, 0)
+        teacher, z, t, z_lr, c = self.parts(1)
+        v_c = teacher_forward(teacher, z, t, z_lr, c).data
         for mode in ("teacher_null", "teacher_neg"):
-            out = cfg_velocity(self.stub, z, 0.2, None, 0, CfgConfig(mode=mode, w=0.0))
+            out = cfg_velocity(teacher, z, t, z_lr, c, CfgConfig(mode=mode, w=0.0))
             np.testing.assert_array_equal(out, v_c)
 
+    def check_guides_against(self, mode, other, ref_name):
+        # v_c + w (v_c - v_ref) with v_ref at the teacher's reserved id; the
+        # other teacher mode must give something else.
+        teacher, z, t, z_lr, c = self.parts(2)
+        out = cfg_velocity(teacher, z, t, z_lr, c, CfgConfig(mode=mode, w=2.5))
+        np.testing.assert_array_equal(
+            out, self.guided(teacher, z, t, z_lr, c, getattr(teacher, ref_name), 2.5))
+        assert not np.array_equal(
+            out, cfg_velocity(teacher, z, t, z_lr, c, CfgConfig(mode=other, w=2.5)))
+
     def test_teacher_null_formula(self):
-        z = np.ones((1, 2))
-        out = cfg_velocity(self.stub, z, 0.2, None, 0, CfgConfig(mode="teacher_null", w=2.0))
-        # v_c = z + 1 = 2, v_null = 0: 2 + 2 (2 - 0) = 6
-        np.testing.assert_allclose(out, 6.0)
+        self.check_guides_against("teacher_null", "teacher_neg", "null_id")
 
     def test_teacher_neg_formula(self):
-        z = np.ones((1, 2))
-        out = cfg_velocity(self.stub, z, 0.2, None, 0, CfgConfig(mode="teacher_neg", w=3.0))
-        # v_c = 2, v_neg = -1: 2 + 3 (2 - (-1)) = 11
-        np.testing.assert_allclose(out, 11.0)
+        self.check_guides_against("teacher_neg", "teacher_null", "negative_id")
 
     def test_original_mf_formula(self):
         teacher = make_teacher(seed=2)
@@ -197,18 +203,22 @@ class TestPseudoHuber:
 
 
 class TestRfLoss:
+    def zero_teacher(self, z_dim):
+        teacher = make_teacher(z_dim=z_dim)
+        teacher.flat[:] = 0.0  # predicts exactly 0 everywhere
+        return teacher
+
     def test_zero_for_perfect_oracle(self):
-        rng = np.random.default_rng(0)
-        batch = make_batch(rng)
-        gt = Tensor(batch.z1 - batch.z0)
-        assert rf_loss(lambda z, t, lr, c: gt, batch).item() == 0.0
+        batch = make_batch(np.random.default_rng(0))
+        batch.z1 = batch.z0.copy()
+        assert rf_loss(self.zero_teacher(3), batch).item() == 0.0
 
     def test_known_value_for_constant_offset(self):
-        rng = np.random.default_rng(1)
-        batch = make_batch(rng, n=3, z_dim=2)
-        pred = Tensor(batch.z1 - batch.z0 + 1.0)
+        batch = make_batch(np.random.default_rng(1), n=4, z_dim=2)
+        batch.z0 = np.round(batch.z0 * 8.0) / 8.0  # dyadic, so z1 - z0 is exactly 1
+        batch.z1 = batch.z0 + 1.0
         # residual is all-ones: ||1||^2 = dim per sample
-        assert rf_loss(lambda z, t, lr, c: pred, batch).item() == pytest.approx(2.0)
+        assert rf_loss(self.zero_teacher(2), batch).item() == 2.0
 
     def test_decreases_under_gradient_step(self):
         teacher = make_teacher(seed=4)

@@ -233,14 +233,6 @@ class TestOneNodeOps:
         for g, r in zip(got, ref):
             np.testing.assert_array_equal(g, r)
 
-    def test_rsub_is_one_node(self):
-        x = Tensor(self.A, requires_grad=True)
-        out = 2.5 - x
-        np.testing.assert_array_equal(out.data, 2.5 + (-self.A))
-        out.sum().backward()
-        np.testing.assert_array_equal(x.grad, -np.ones_like(self.A))
-        assert all(not p._parents for p in out._parents)
-
     @pytest.mark.parametrize("axis, keepdims", [(None, False), (0, False), (1, False),
                                                 (1, True)])
     def test_mean_is_bit_identical_to_scaled_sum(self, axis, keepdims):
