@@ -82,7 +82,9 @@ def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
 
     The teacher modes guide against the teacher's reserved row by id
     (``null_id`` / ``negative_id``): v_c + w (v_c - v_ref). Both calls run even
-    at w = 0, since the benchmark pins the traced share of useful teacher calls.
+    at w = 0, where v_ref is multiplied by zero: the benchmark pins that waste
+    as ``flow.cfg_velocity.useful_ratio`` (0.5 on gauss), so skipping the call
+    waits for a change of the benchmark.
 
     Returns a plain array: the result always feeds the stop-gradded target,
     so nothing here participates in parameter gradients.
@@ -106,7 +108,14 @@ def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
 
 
 def _student_jvp(student: FieldNet, z, t, s, z_lr, c, v_inst):
-    """One dual forward: (u(z,t,s), du/dt) with tangent (v_inst, 1, 0)."""
+    """One dual forward: (u(z,t,s), du/dt) with tangent (v_inst, 1, 0).
+
+    The zero tangent on s is explicit, so the s-embedding matmul is a dual one
+    although its tangent is zero. The benchmark pins the count of dual
+    matmuls as ``tensor.matmul.one_sided_tangent`` (6 per pass of a student
+    with two hidden layers, this one included), so dropping the zero tangent
+    waits for a change of the benchmark.
+    """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (n, 1))

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .tensor import Tensor, concat, gather_rows, repeat_rows
+from .tensor import Tensor, concat, gather_rows, repeat_rows, sincos
 
 
 class TimeEmbedder:
@@ -49,8 +49,7 @@ class TimeEmbedder:
 
     def raw_features(self, t: Tensor) -> Tensor:
         """Sin/cos features of shape (B, dim) for t of shape (B, 1)."""
-        arg = t * Tensor(self.c_noise * self.freqs[None, :])
-        return concat([arg.sin(), arg.cos()], axis=1)
+        return sincos(t * Tensor(self.c_noise * self.freqs[None, :]))
 
 
 class FieldNet:

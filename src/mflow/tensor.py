@@ -4,8 +4,10 @@ Reverse mode is a classic tape: every op records its parents and a backward
 closure, and ``backward()`` walks the graph once in reverse topological order.
 Forward mode rides along as a dual number: if any input carries a ``tangent``
 array, the op also produces the corresponding output tangent in the same
-forward pass. Tangents are plain numpy arrays and are never recorded on the
-tape, so differentiating a loss never differentiates through a tangent.
+forward pass. An op computes its tangent from the operands that carry one
+only: ``x @ W`` with a constant ``W`` costs one extra matmul, not two.
+Tangents are plain numpy arrays and are never recorded on the tape, so
+differentiating a loss never differentiates through a tangent.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ class Tensor:
 
     def __add__(self, other):
         a, b = self, Tensor._lift(other)
-        _broadcast_shape(a.shape, b.shape)
-        tan = _dual_binary(a, b, lambda ta, tb: ta + tb)
+        shape = _broadcast_shape(a.shape, b.shape)
+        tan = _dual(a, b, shape, lambda ta: ta, lambda tb: tb, lambda ta, tb: ta + tb)
         return Tensor(a.data + b.data, tangent=tan, _parents=(a, b),
                       _backward=lambda g: ((a, _unbroadcast(g, a.shape)),
                                            (b, _unbroadcast(g, b.shape))))
@@ -139,16 +141,17 @@ class Tensor:
 
     def __sub__(self, other):
         a, b = self, Tensor._lift(other)
-        _broadcast_shape(a.shape, b.shape)
-        tan = _dual_binary(a, b, lambda ta, tb: ta - tb)
+        shape = _broadcast_shape(a.shape, b.shape)
+        tan = _dual(a, b, shape, lambda ta: ta, lambda tb: -tb, lambda ta, tb: ta - tb)
         return Tensor(a.data - b.data, tangent=tan, _parents=(a, b),
                       _backward=lambda g: ((a, _unbroadcast(g, a.shape)),
                                            (b, -_unbroadcast(g, b.shape))))
 
     def __mul__(self, other):
         a, b = self, Tensor._lift(other)
-        _broadcast_shape(a.shape, b.shape)
-        tan = _dual_binary(a, b, lambda ta, tb: ta * b.data + a.data * tb)
+        shape = _broadcast_shape(a.shape, b.shape)
+        tan = _dual(a, b, shape, lambda ta: ta * b.data, lambda tb: a.data * tb,
+                    lambda ta, tb: ta * b.data + a.data * tb)
         return Tensor(a.data * b.data, tangent=tan, _parents=(a, b),
                       _backward=lambda g: ((a, _unbroadcast(g * b.data, a.shape)),
                                            (b, _unbroadcast(g * a.data, b.shape))))
@@ -165,20 +168,6 @@ class Tensor:
 
     def sqrt(self):
         return self ** 0.5
-
-    def sin(self):
-        a = self
-        c = np.cos(a.data)
-        tan = None if a.tangent is None else c * a.tangent
-        return Tensor(np.sin(a.data), tangent=tan, _parents=(a,),
-                      _backward=lambda g: ((a, g * c),))
-
-    def cos(self):
-        a = self
-        s = np.sin(a.data)
-        tan = None if a.tangent is None else -s * a.tangent
-        return Tensor(np.cos(a.data), tangent=tan, _parents=(a,),
-                      _backward=lambda g: ((a, -g * s),))
 
     def silu(self):
         """x * sigmoid(x); smooth, with analytic derivative.
@@ -202,7 +191,9 @@ class Tensor:
         a, b = self, Tensor._lift(other)
         if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
-        tan = _dual_binary(a, b, lambda ta, tb: ta @ b.data + a.data @ tb)
+        shape = (a.shape[0], b.shape[1])
+        tan = _dual(a, b, shape, lambda ta: ta @ b.data, lambda tb: a.data @ tb,
+                    lambda ta, tb: ta @ b.data + a.data @ tb)
         return Tensor(a.data @ b.data, tangent=tan, _parents=(a, b),
                       _backward=lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
 
@@ -241,13 +232,23 @@ class Tensor:
                       _backward=lambda g: ((a, g.reshape(a.shape)),))
 
 
-def _dual_binary(a: Tensor, b: Tensor, rule) -> np.ndarray | None:
-    """Tangent of a binary op; missing tangents are zero."""
-    if a.tangent is None and b.tangent is None:
-        return None
-    ta = a.tangent if a.tangent is not None else np.zeros_like(a.data)
-    tb = b.tangent if b.tangent is not None else np.zeros_like(b.data)
-    return rule(ta, tb)
+def _dual(a: Tensor, b: Tensor, shape: tuple, left, right, both) -> np.ndarray | None:
+    """Tangent of a binary op, from the operands that carry one.
+
+    ``left(ta)`` and ``right(tb)`` are the op's rule when only ``a`` or only
+    ``b`` has a tangent, so no product with a zero tangent is formed;
+    ``both(ta, tb)`` is the full rule. A one-sided tangent smaller than the
+    output, such as a (1, k) row against (B, k), is broadcast to ``shape`` as
+    a read-only view.
+    """
+    ta, tb = a.tangent, b.tangent
+    if ta is None:
+        if tb is None:
+            return None
+        tan = right(tb)
+    else:
+        tan = left(ta) if tb is None else both(ta, tb)
+    return tan if tan.shape == shape else np.broadcast_to(tan, shape)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -276,6 +277,23 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(slices)
 
     return Tensor(out, tangent=tan, _parents=tuple(ts), _backward=back)
+
+
+def sincos(x: Tensor) -> Tensor:
+    """[sin(x), cos(x)] along the last axis, as one node.
+
+    Each transcendental is computed once: the tangent is [cos tx, -sin tx]
+    and the gradient g_s cos - g_c sin reuse the two halves of the value.
+    """
+    x = Tensor._lift(x)
+    k = x.shape[-1]
+    out = np.concatenate([np.sin(x.data), np.cos(x.data)], axis=-1)
+    sin, cos = out[..., :k], out[..., k:]
+    tan = None
+    if x.tangent is not None:
+        tan = np.concatenate([cos * x.tangent, -sin * x.tangent], axis=-1)
+    return Tensor(out, tangent=tan, _parents=(x,),
+                  _backward=lambda g: ((x, g[..., :k] * cos - g[..., k:] * sin),))
 
 
 def repeat_rows(x: Tensor, n: int) -> Tensor:

@@ -166,23 +166,29 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         raise
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(path, skip: str | None = None) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint; raises CheckpointError unless the file is well formed.
 
     The tensors are read-only views of the bytes read from the file; a caller
     that needs to write copies them (``FieldNet._from_arrays`` and resuming
-    already copy into the flat vectors).
+    already copy into the flat vectors). Tensors whose name starts with
+    ``skip`` are seeked past instead of read and are left out of the result;
+    their lengths are checked like any other, so a truncated file is still
+    refused.
     """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
-        def read(n: int) -> bytes:
+        def take(n: int) -> None:
             # every length comes from the file, so check it before reading
             nonlocal left
             if n > left:
                 raise CheckpointError(f"{path}: truncated checkpoint "
                                       f"({n} bytes wanted, {left} left)")
             left -= n
+
+        def read(n: int) -> bytes:
+            take(n)
             return fh.read(n)
 
         def unpack(fmt: str) -> tuple:
@@ -212,7 +218,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             if dtype != _DTYPE_F64:
                 raise CheckpointError(f"{path}: unknown dtype code {dtype}")
             shape = unpack(f"<{rank}I")
-            tensors[name] = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+            size = 8 * math.prod(shape)
+            if skip is not None and name.startswith(skip):
+                take(size)
+                fh.seek(size, os.SEEK_CUR)
+            else:
+                tensors[name] = np.frombuffer(read(size), dtype="<f8").reshape(shape)
         if left:
             raise CheckpointError(f"{path}: {left} trailing bytes after the last tensor")
     return tensors, meta
@@ -230,6 +241,12 @@ def params_digest(params: dict[str, Tensor]) -> str:
 
 _INT_FIELDS = ("seed", "steps", "batch_size", "log_every", "ckpt_every", "time_dim",
                "cond_dim", "hr_size", "num_content", "sr_scale", "quant_levels", "train_pool")
+_FLOAT_FIELDS = ("lr", "lr_final", "grad_clip", "teacher_c_noise", "gauss_sigma",
+                 "blur_sigma", "noise_sigma", "neg_pair_prob")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -271,6 +288,9 @@ class RunConfig:
         not_int = [name for name in _INT_FIELDS if type(getattr(self, name)) is not int]
         if not_int:
             raise ValueError(f"expected an integer for {', '.join(not_int)}")
+        not_number = [name for name in _FLOAT_FIELDS if not _is_number(getattr(self, name))]
+        if not_number:
+            raise ValueError(f"expected a number for {', '.join(not_number)}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.steps < 1 or self.batch_size < 1:
@@ -288,6 +308,9 @@ class RunConfig:
         if not isinstance(self.hidden, (list, tuple)) or not all(
                 isinstance(h, int) and h > 0 for h in self.hidden):
             raise ValueError("hidden must be a list of positive layer widths")
+        if not isinstance(self.gauss_mu, (list, tuple)) or not self.gauss_mu or not all(
+                _is_number(m) for m in self.gauss_mu):
+            raise ValueError("gauss_mu must be a non-empty list of numbers")
         if self.gauss_sigma <= 0:
             raise ValueError("gauss_sigma must be positive")
         self.dataset()  # the dataset checks its own fields
@@ -408,8 +431,13 @@ def _save_net_checkpoint(path, net: FieldNet, adam: Adam, config: RunConfig,
     save_checkpoint(path, tensors, meta)
 
 
-def _load_net(path) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
-    tensors, meta = load_checkpoint(path)
+def _load_net(path, moments: bool = True) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
+    """The net of a checkpoint, its tensors and its metadata.
+
+    Without ``moments`` the Adam moments (``adam.*``) are not read, as a net
+    that only runs forward does not need them.
+    """
+    tensors, meta = load_checkpoint(path, skip=None if moments else "adam.")
     config = meta.get("net_config") if isinstance(meta, dict) else None
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: no net config")
@@ -518,19 +546,22 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
         lambda batch: rf_loss(teacher, batch))
 
 
-def _load_role(path, kind: str) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
-    net, tensors, meta = _load_net(path)
+def _load_role(path, kind: str, moments: bool = True
+               ) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
+    net, tensors, meta = _load_net(path, moments)
     if net.kind != kind:
         raise CheckpointError(f"{path} does not hold a {kind} checkpoint")
     return net, tensors, meta
 
 
 def load_teacher(path) -> FieldNet:
-    return _load_role(path, "teacher")[0]
+    """A teacher for inference or distillation; its Adam moments are not read."""
+    return _load_role(path, "teacher", moments=False)[0]
 
 
 def load_student(path) -> FieldNet:
-    return _load_role(path, "student")[0]
+    """A student for inference; its Adam moments are not read."""
+    return _load_role(path, "student", moments=False)[0]
 
 
 def describe_checkpoint(path) -> dict:
@@ -539,7 +570,7 @@ def describe_checkpoint(path) -> dict:
     ``params_digest`` covers the weights alone, so it does not move with the
     metadata bytes. Raises CheckpointError for a file that does not load.
     """
-    net, _, meta = _load_net(path)
+    net, _, meta = _load_net(path, moments=False)
     return {"role": meta.get("role"), "kind": net.kind, "step": meta.get("step"),
             "adam_step": meta.get("adam_step"), "param_count": net.param_count(),
             "params_digest": params_digest(net.parameters()),

@@ -72,6 +72,8 @@ class TestParsingAndErrors:
         ["train-teacher", "--set", "task=toysr", "--set", "num_content=0"],
         ["train-teacher", "--set", "neg_pair_prob=2"],
         ["train-teacher", "--set", "time_dim=0"],
+        ["train-teacher", "--set", "task=gaussian", "--set", "gauss_mu=[]"],
+        ["train-teacher", "--set", "lr=abc"],
     ])
     def test_out_of_range_value_is_one_usage_line(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path)]) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mflow.tensor
 from mflow.data import FlowBatch
 from mflow.flow import (CFG_MODES, CfgConfig, LossConfig, _student_jvp, cfg_velocity,
                         interpolate, mfd_loss, mfd_target, rf_loss,
@@ -276,6 +277,33 @@ class TestMfdTarget:
         u, dudt = _student_jvp(student, z, t, s, lr, c, v)
         np.testing.assert_array_equal(u.data, ref.data)
         np.testing.assert_array_equal(dudt, ref.tangent)
+
+    @pytest.mark.parametrize("z_dim, lr_dim, num_content", [(2, 0, 1), (64, 16, 3)])
+    def test_student_jvp_equals_the_dense_tangent_rules(self, monkeypatch, z_dim, lr_dim,
+                                                        num_content):
+        # gauss- and SR-shaped students; the s-embedding is drawn, so s matters
+        student = FieldNet("student", z_dim, lr_dim, num_content, cond_dim=8, time_dim=8,
+                           hidden=(16, 16), seed=10)
+        rng = np.random.default_rng(10)
+        z, v = rng.normal(size=(2, 6, z_dim))
+        lr = rng.normal(size=(6, lr_dim))
+        t = rng.random(6)
+        s = t + rng.random(6) * (1.0 - t)
+        c = rng.integers(0, num_content, 6)
+        u, dudt = _student_jvp(student, z, t, s, lr, c, v)
+
+        def dense(a, b, shape, left, right, both):
+            # the former rule: a missing tangent is an explicit zero
+            if a.tangent is None and b.tangent is None:
+                return None
+            ta = np.zeros_like(a.data) if a.tangent is None else a.tangent
+            tb = np.zeros_like(b.data) if b.tangent is None else b.tangent
+            return both(ta, tb)
+
+        monkeypatch.setattr(mflow.tensor, "_dual", dense)
+        u_ref, dudt_ref = _student_jvp(student, z, t, s, lr, c, v)
+        np.testing.assert_array_equal(u.data, u_ref.data)
+        np.testing.assert_array_equal(dudt, dudt_ref)
 
     def test_target_is_constant(self):
         teacher = make_teacher(seed=8)

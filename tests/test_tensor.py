@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflow.tensor import ShapeError, Tensor, concat, gather_rows, jvp, repeat_rows
+from mflow.tensor import ShapeError, Tensor, concat, gather_rows, jvp, repeat_rows, sincos
 
 
 def _rand_mlp(rng, sizes):
@@ -246,6 +246,71 @@ class TestOneNodeOps:
             np.testing.assert_array_equal(g, r)
 
 
+# The dense tangent rules that the one-sided ones replaced: a missing tangent
+# is an explicit zero and the full rule runs.
+DENSE = {
+    "add": (lambda x, y: x + y, lambda a, b, ta, tb: ta + tb),
+    "sub": (lambda x, y: x - y, lambda a, b, ta, tb: ta - tb),
+    "mul": (lambda x, y: x * y, lambda a, b, ta, tb: ta * b + a * tb),
+    "matmul": (lambda x, y: x @ y, lambda a, b, ta, tb: ta @ b + a @ tb),
+}
+
+
+class TestOneSidedTangents:
+    rng = np.random.default_rng(21)
+    # (a shape, b shape) per op; the elementwise ops also broadcast a row or a column
+    SHAPES = [("add", (4, 3), (4, 3)), ("add", (1, 3), (4, 3)), ("add", (4, 3), (4, 1)),
+              ("sub", (4, 3), (4, 3)), ("sub", (4, 3), (1, 3)), ("sub", (4, 1), (4, 3)),
+              ("mul", (4, 3), (4, 3)), ("mul", (1, 3), (4, 3)), ("mul", (4, 3), (4, 1)),
+              ("matmul", (4, 5), (5, 3)), ("matmul", (1, 5), (5, 3))]
+
+    @pytest.mark.parametrize("sides", ["left", "right", "both"])
+    @pytest.mark.parametrize("op, sa, sb", SHAPES)
+    def test_equals_the_dense_rule(self, op, sa, sb, sides):
+        a, va = self.rng.normal(size=(2, *sa))
+        b, vb = self.rng.normal(size=(2, *sb))
+        va = va if sides in ("left", "both") else None
+        vb = vb if sides in ("right", "both") else None
+        f, rule = DENSE[op]
+        out = f(Tensor(a, tangent=va), Tensor(b, tangent=vb))
+        dense = rule(a, b, np.zeros_like(a) if va is None else va,
+                     np.zeros_like(b) if vb is None else vb)
+        assert out.tangent.shape == out.shape == f(a, b).shape
+        np.testing.assert_array_equal(out.tangent, np.broadcast_to(dense, out.shape))
+
+    def test_no_tangent_without_a_dual_operand(self):
+        for f, _ in DENSE.values():
+            assert f(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))).tangent is None
+
+
+def _sin(a):
+    """The former ``Tensor.sin`` node."""
+    c = np.cos(a.data)
+    tan = None if a.tangent is None else c * a.tangent
+    return Tensor(np.sin(a.data), tangent=tan, _parents=(a,), _backward=lambda g: ((a, g * c),))
+
+
+def _cos(a):
+    """The former ``Tensor.cos`` node."""
+    s = np.sin(a.data)
+    tan = None if a.tangent is None else -s * a.tangent
+    return Tensor(np.cos(a.data), tangent=tan, _parents=(a,),
+                  _backward=lambda g: ((a, -g * s),))
+
+
+class TestSincos:
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_equals_concat_of_sin_and_cos(self, dual):
+        rng = np.random.default_rng(22)
+        x, v = rng.normal(0.0, 3.0, size=(2, 5, 4))
+        v = v if dual else None
+        out, got = _run(lambda p, _: sincos(p), x, np.array(0.0), v, None)
+        _, ref = _run(lambda p, _: concat([_sin(p), _cos(p)], axis=1), x, np.array(0.0), v, None)
+        assert len(out._parents) == 1 and not out._parents[0]._parents
+        for g, r in zip(got[:3], ref[:3]):
+            np.testing.assert_array_equal(g, r)
+
+
 class TestDeterminism:
     def test_identical_seeds_bit_identical(self):
         def run():
@@ -273,7 +338,7 @@ def test_jvp_linearity_property(xs, a, b):
     v2 = rng.normal(size=x.shape)
 
     def f(t):
-        return (t * t + t.sin()).sum()
+        return (t * t).sum() + (sincos(t) ** 3.0).sum()
 
     _, t1 = jvp(f, x, v1)
     _, t2 = jvp(f, x, v2)

@@ -314,6 +314,23 @@ class TestCheckpointRejection:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(scratch)
 
+    def test_inference_load_skips_the_moments(self, teacher_ckpt):
+        tensors, _ = load_checkpoint(teacher_ckpt)
+        weights, _ = load_checkpoint(teacher_ckpt, skip="adam.")
+        assert set(weights) == {name for name in tensors if not name.startswith("adam.")}
+        assert len(weights) < len(tensors)
+        np.testing.assert_array_equal(load_teacher(teacher_ckpt).flat,
+                                      _load_net(teacher_ckpt)[0].flat)
+
+    @pytest.mark.parametrize("edit", ["truncated", "trailing"])
+    def test_inference_load_refuses_a_bad_length(self, teacher_ckpt, scratch, edit):
+        raw = teacher_ckpt.read_bytes()
+        # cut inside the data of the first second moment, which the load seeks past
+        bad = raw[:raw.index(b"adam.v.") + 64] if edit == "truncated" else raw + b"\x00"
+        scratch.write_bytes(bad)
+        with pytest.raises(CheckpointError, match=edit):
+            load_teacher(scratch)
+
     @settings(max_examples=60, deadline=None)
     @given(frac=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
     def test_flipped_byte_loads_or_is_refused(self, teacher_ckpt, scratch, frac, mask):
@@ -334,6 +351,19 @@ class TestRunConfig:
             RunConfig.from_dict({"task": "gaussian", "banana": 1})
         with pytest.raises(ValueError):
             RunConfig(task="imagenet")
+
+    @pytest.mark.parametrize("name", ["lr", "lr_final", "grad_clip", "teacher_c_noise",
+                                      "gauss_sigma", "blur_sigma", "noise_sigma",
+                                      "neg_pair_prob"])
+    @pytest.mark.parametrize("value", ["abc", True])
+    def test_float_fields_must_be_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"expected a number for {name}$"):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("mu", [[], "ab", [1.0, "x"], 2.0])
+    def test_gauss_mu_must_be_a_non_empty_list_of_numbers(self, mu):
+        with pytest.raises(ValueError, match="gauss_mu"):
+            RunConfig(task="gaussian", gauss_mu=mu)
 
     def test_dict_roundtrip_preserves_digest(self):
         cfg = tiny_config()
