@@ -11,14 +11,29 @@ CFG, or teacher CFG against the null / negative condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nets import FieldNet, student_forward, teacher_forward
-from .tensor import Tensor, jvp
+from .tensor import Tensor, jvp, no_tape
 
 CFG_MODES = ("gt", "original_mf", "teacher_null", "teacher_neg")
+
+
+def is_number(x) -> bool:
+    """An int or a finite float; a bool is not a number here."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
+
+
+def check_numbers(obj, names, prefix: str = "") -> None:
+    """Raise ValueError naming each field of ``names`` that is not ``is_number``."""
+    bad = [prefix + name for name in names if not is_number(getattr(obj, name))]
+    if bad:
+        raise ValueError(f"expected a number for {', '.join(bad)}")
 
 
 @dataclass
@@ -31,6 +46,7 @@ class CfgConfig:
     def __post_init__(self):
         if self.mode not in CFG_MODES:
             raise ValueError(f"unknown cfg mode {self.mode!r}; expected one of {CFG_MODES}")
+        check_numbers(self, ("w", "kappa"), "cfg.")
         if self.w < 0:
             raise ValueError("guidance scale w must be >= 0")
         if not 0.0 <= self.kappa < 1.0:
@@ -46,6 +62,8 @@ class LossConfig:
     def __post_init__(self):
         if self.metric not in ("squared_l2", "pseudo_huber"):
             raise ValueError(f"unknown loss metric {self.metric!r}")
+        check_numbers(self, ("ratio_r",) if self.huber_c is None else ("ratio_r", "huber_c"),
+                      "loss.")
         if self.huber_c is not None and self.huber_c <= 0:
             raise ValueError("huber_c must be positive")
         if not 0.0 <= self.ratio_r <= 1.0:
@@ -87,7 +105,9 @@ def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
     waits for a change of the benchmark.
 
     Returns a plain array: the result always feeds the stop-gradded target,
-    so nothing here participates in parameter gradients.
+    so nothing here participates in parameter gradients. The net calls (the
+    teacher's two, or ``original_mf``'s two student calls at s = t) therefore
+    run inside ``no_tape()``: same values, no tape.
     """
     if cfg.mode == "gt":
         if z0 is None or z1 is None:
@@ -95,14 +115,16 @@ def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
         return np.asarray(z1, dtype=np.float64) - np.asarray(z0, dtype=np.float64)
     if cfg.mode in ("teacher_null", "teacher_neg"):
         ref = teacher.null_id if cfg.mode == "teacher_null" else teacher.negative_id
-        v_c = teacher_forward(teacher, z, t, z_lr, c).data
-        v_ref = teacher_forward(teacher, z, t, z_lr, ref).data
+        with no_tape():
+            v_c = teacher_forward(teacher, z, t, z_lr, c).data
+            v_ref = teacher_forward(teacher, z, t, z_lr, ref).data
         return v_c + cfg.w * (v_c - v_ref)
     # original_mf: self-referential CFG through the student at s = t
     if student is None or z0 is None or z1 is None:
         raise ValueError("original_mf mode requires the student and the endpoint pair (z0, z1)")
-    u_c = student_forward(student, z, t, t, z_lr, c).data
-    u_null = student_forward(student, z, t, t, z_lr, student.null_id).data
+    with no_tape():
+        u_c = student_forward(student, z, t, t, z_lr, c).data
+        u_null = student_forward(student, z, t, t, z_lr, student.null_id).data
     gt = np.asarray(z1, dtype=np.float64) - np.asarray(z0, dtype=np.float64)
     return cfg.w * gt + cfg.kappa * u_c + (1.0 - cfg.w - cfg.kappa) * u_null
 

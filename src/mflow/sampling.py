@@ -9,6 +9,7 @@ import numpy as np
 from .data import GaussianDataset, Gen2dDataset, SrPair, ToySrDataset, from_signal, gen_2d, to_signal
 from .nets import FieldNet, student_forward
 from .oracle import AnalyticFlow
+from .tensor import no_tape
 
 
 def _eval_student(student, z, t: float, s: float, z_lr, c) -> np.ndarray:
@@ -22,14 +23,18 @@ def sample_student(student, z0: np.ndarray, z_lr, c, n_steps: int) -> np.ndarray
     over the uniform time points 0 = tau_1 < ... < tau_{N+1} = 1.
 
     ``student`` is a FieldNet or a callable u(z, t, s, z_lr, c). A teacher's
-    Euler sampler is the same rule with u(z, t, s) = v(z, t).
+    Euler sampler is the same rule with u(z, t, s) = v(z, t). Only values are
+    read, so the steps run inside ``no_tape()``: a FieldNet forward records
+    no tape and gives the same bits as a taped one. This covers ``sr_infer``
+    and ``steps_sweep``.
     """
     if n_steps < 1:
         raise ValueError("need at least one sampling step")
     taus = np.linspace(0.0, 1.0, n_steps + 1)
     z = np.asarray(z0, dtype=np.float64).copy()
-    for t, s in zip(taus[:-1], taus[1:]):
-        z = z + (s - t) * _eval_student(student, z, float(t), float(s), z_lr, c)
+    with no_tape():
+        for t, s in zip(taus[:-1], taus[1:]):
+            z = z + (s - t) * _eval_student(student, z, float(t), float(s), z_lr, c)
     return z
 
 

@@ -1,6 +1,6 @@
 """Dense float64 tensors with reverse-mode gradients and forward-mode tangents.
 
-Reverse mode is a classic tape: every op records its parents and a backward
+Reverse mode is a classic tape: an op records its parents and a backward
 closure, and ``backward()`` walks the graph once in reverse topological order.
 Forward mode rides along as a dual number: if any input carries a ``tangent``
 array, the op also produces the corresponding output tangent in the same
@@ -8,13 +8,40 @@ forward pass. An op computes its tangent from the operands that carry one
 only: ``x @ W`` with a constant ``W`` costs one extra matmul, not two.
 Tangents are plain numpy arrays and are never recorded on the tape, so
 differentiating a loss never differentiates through a tangent.
+
+Every op builds its result through ``_node``, which records parents and a
+backward closure only when an operand needs a gradient: an op on constants
+is a constant. Inside ``with no_tape():`` nothing is recorded at all and
+each result is a value-only Tensor (no parents, no tangent), computed by the
+same numpy expression as on the tape, so the values are bit-identical.
+Shape and index checks still raise there.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+# False inside ``no_tape()``; read by ``_node`` at every op.
+_tape = True
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Run ops without recording a tape; restores the previous state on exit.
+
+    Results are value-only Tensors: they cannot be differentiated and carry
+    no tangent. Blocks nest, and the state is restored after an exception.
+    The switch is one flag for the whole process, not one per thread.
+    """
+    global _tape
+    previous, _tape = _tape, False
+    try:
+        yield
+    finally:
+        _tape = previous
 
 
 class ShapeError(ValueError):
@@ -129,40 +156,36 @@ class Tensor:
         a, b = self, Tensor._lift(other)
         shape = _broadcast_shape(a.shape, b.shape)
         tan = _dual(a, b, shape, lambda ta: ta, lambda tb: tb, lambda ta, tb: ta + tb)
-        return Tensor(a.data + b.data, tangent=tan, _parents=(a, b),
-                      _backward=lambda g: ((a, _unbroadcast(g, a.shape)),
-                                           (b, _unbroadcast(g, b.shape))))
+        return _node(a.data + b.data, tan, (a, b),
+                     lambda g: ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))))
 
     def __neg__(self):
         a = self
         tan = None if a.tangent is None else -a.tangent
-        return Tensor(-a.data, tangent=tan, _parents=(a,),
-                      _backward=lambda g: ((a, -g),))
+        return _node(-a.data, tan, (a,), lambda g: ((a, -g),))
 
     def __sub__(self, other):
         a, b = self, Tensor._lift(other)
         shape = _broadcast_shape(a.shape, b.shape)
         tan = _dual(a, b, shape, lambda ta: ta, lambda tb: -tb, lambda ta, tb: ta - tb)
-        return Tensor(a.data - b.data, tangent=tan, _parents=(a, b),
-                      _backward=lambda g: ((a, _unbroadcast(g, a.shape)),
-                                           (b, -_unbroadcast(g, b.shape))))
+        return _node(a.data - b.data, tan, (a, b),
+                     lambda g: ((a, _unbroadcast(g, a.shape)), (b, -_unbroadcast(g, b.shape))))
 
     def __mul__(self, other):
         a, b = self, Tensor._lift(other)
         shape = _broadcast_shape(a.shape, b.shape)
         tan = _dual(a, b, shape, lambda ta: ta * b.data, lambda tb: a.data * tb,
                     lambda ta, tb: ta * b.data + a.data * tb)
-        return Tensor(a.data * b.data, tangent=tan, _parents=(a, b),
-                      _backward=lambda g: ((a, _unbroadcast(g * b.data, a.shape)),
-                                           (b, _unbroadcast(g * a.data, b.shape))))
+        return _node(a.data * b.data, tan, (a, b),
+                     lambda g: ((a, _unbroadcast(g * b.data, a.shape)),
+                                (b, _unbroadcast(g * a.data, b.shape))))
 
     def __pow__(self, exponent: float):
         a, p = self, float(exponent)
         out = a.data ** p
         local = p * a.data ** (p - 1.0)
         tan = None if a.tangent is None else local * a.tangent
-        return Tensor(out, tangent=tan, _parents=(a,),
-                      _backward=lambda g: ((a, g * local),))
+        return _node(out, tan, (a,), lambda g: ((a, g * local),))
 
     # -- nonlinearities -------------------------------------------------------
 
@@ -173,17 +196,27 @@ class Tensor:
         """x * sigmoid(x); smooth, with analytic derivative.
 
         The slope is computed only when a tangent or a backward pass uses it.
+        sigmoid and the slope are built in place from the operands of
+        ``1 / (1 + exp(-x))`` and ``sig * (1 + x * (1 - sig))``; IEEE ``+``
+        and ``*`` commute, so the bits are those of the two expressions.
         """
         a = self
-        sig = 1.0 / (1.0 + np.exp(-a.data))
+        sig = np.negative(a.data, out=np.empty(a.shape))
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
 
         def slope():
-            return sig * (1.0 + a.data * (1.0 - sig))
+            out = np.subtract(1.0, sig)
+            out *= a.data
+            out += 1.0
+            out *= sig
+            return out
 
         local = None if a.tangent is None else slope()
         tan = None if local is None else local * a.tangent
-        return Tensor(a.data * sig, tangent=tan, _parents=(a,),
-                      _backward=lambda g: ((a, g * (slope() if local is None else local)),))
+        return _node(a.data * sig, tan, (a,),
+                     lambda g: ((a, g * (slope() if local is None else local)),))
 
     # -- linear algebra / structure -------------------------------------------
 
@@ -194,8 +227,8 @@ class Tensor:
         shape = (a.shape[0], b.shape[1])
         tan = _dual(a, b, shape, lambda ta: ta @ b.data, lambda tb: a.data @ tb,
                     lambda ta, tb: ta @ b.data + a.data @ tb)
-        return Tensor(a.data @ b.data, tangent=tan, _parents=(a, b),
-                      _backward=lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
+        return _node(a.data @ b.data, tan, (a, b),
+                     lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
 
     __matmul__ = matmul
 
@@ -222,14 +255,28 @@ class Tensor:
                 gg = np.expand_dims(gg, axis)
             return ((a, np.broadcast_to(gg, a.shape).copy()),)
 
-        return Tensor(out, tangent=tan, _parents=(a,), _backward=back)
+        return _node(out, tan, (a,), back)
 
     def reshape(self, *shape):
         a = self
         out = a.data.reshape(*shape)
         tan = None if a.tangent is None else a.tangent.reshape(*shape)
-        return Tensor(out, tangent=tan, _parents=(a,),
-                      _backward=lambda g: ((a, g.reshape(a.shape)),))
+        return _node(out, tan, (a,), lambda g: ((a, g.reshape(a.shape)),))
+
+
+def _node(value, tangent, parents: tuple, backward: Callable) -> Tensor:
+    """The result of an op.
+
+    It records ``parents`` and ``backward`` only when the tape is on and some
+    operand requires grad or has parents itself; an op on constants is a
+    constant that keeps its tangent. Inside ``no_tape()`` it is value-only.
+    """
+    if not _tape:
+        return Tensor(value)
+    for p in parents:
+        if p.requires_grad or p._parents:
+            return Tensor(value, tangent=tangent, _parents=parents, _backward=backward)
+    return Tensor(value, tangent=tangent)
 
 
 def _dual(a: Tensor, b: Tensor, shape: tuple, left, right, both) -> np.ndarray | None:
@@ -276,7 +323,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             slices.append((t, g[tuple(idx)]))
         return tuple(slices)
 
-    return Tensor(out, tangent=tan, _parents=tuple(ts), _backward=back)
+    return _node(out, tan, tuple(ts), back)
 
 
 def sincos(x: Tensor) -> Tensor:
@@ -292,8 +339,7 @@ def sincos(x: Tensor) -> Tensor:
     tan = None
     if x.tangent is not None:
         tan = np.concatenate([cos * x.tangent, -sin * x.tangent], axis=-1)
-    return Tensor(out, tangent=tan, _parents=(x,),
-                  _backward=lambda g: ((x, g[..., :k] * cos - g[..., k:] * sin),))
+    return _node(out, tan, (x,), lambda g: ((x, g[..., :k] * cos - g[..., k:] * sin),))
 
 
 def repeat_rows(x: Tensor, n: int) -> Tensor:
@@ -308,8 +354,8 @@ def repeat_rows(x: Tensor, n: int) -> Tensor:
         return x
     shape = (n, x.shape[1])
     tan = None if x.tangent is None else np.broadcast_to(x.tangent, shape)
-    return Tensor(np.broadcast_to(x.data, shape), tangent=tan, _parents=(x,),
-                  _backward=lambda g: ((x, g.sum(axis=0, keepdims=True)),))
+    return _node(np.broadcast_to(x.data, shape), tan, (x,),
+                 lambda g: ((x, g.sum(axis=0, keepdims=True)),))
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:
@@ -327,7 +373,7 @@ def gather_rows(table: Tensor, idx) -> Tensor:
         np.add.at(gt, idx, g)
         return ((table, gt),)
 
-    return Tensor(out, tangent=tan, _parents=(table,), _backward=back)
+    return _node(out, tan, (table,), back)
 
 
 def jvp(f: Callable, xs, vs) -> tuple[Tensor, np.ndarray]:
@@ -335,7 +381,10 @@ def jvp(f: Callable, xs, vs) -> tuple[Tensor, np.ndarray]:
 
     ``xs``/``vs`` may be single arrays or sequences of arrays with matching
     shapes. Returns ``(f(xs), J_f(xs) @ vs)``; the tangent is a plain array.
+    Raises RuntimeError inside ``no_tape()``, where results carry no tangent.
     """
+    if not _tape:
+        raise RuntimeError("jvp() inside no_tape(): results there carry no tangent")
     single = not isinstance(xs, (tuple, list))
     xs_seq: Iterable = [xs] if single else xs
     vs_seq: Iterable = [vs] if single else vs

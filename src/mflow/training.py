@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import (DegradeParams, Gen2dDataset, GaussianDataset, ToySrDataset,
                    build_sr_pool, make_batch)
-from .flow import CfgConfig, LossConfig, mfd_loss, rf_loss
+from .flow import CfgConfig, LossConfig, check_numbers, is_number, mfd_loss, rf_loss
 from .nets import FieldNet, copy_into, init_student_from_teacher
 from .tensor import Tensor
 
@@ -245,10 +245,6 @@ _FLOAT_FIELDS = ("lr", "lr_final", "grad_clip", "teacher_c_noise", "gauss_sigma"
                  "blur_sigma", "noise_sigma", "neg_pair_prob")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 @dataclass
 class RunConfig:
     """Full experiment description; serialized next to every artifact."""
@@ -288,9 +284,10 @@ class RunConfig:
         not_int = [name for name in _INT_FIELDS if type(getattr(self, name)) is not int]
         if not_int:
             raise ValueError(f"expected an integer for {', '.join(not_int)}")
-        not_number = [name for name in _FLOAT_FIELDS if not _is_number(getattr(self, name))]
-        if not_number:
-            raise ValueError(f"expected a number for {', '.join(not_number)}")
+        check_numbers(self, _FLOAT_FIELDS)
+        if not isinstance(self.teacher_ckpt, str):
+            # open() would take an int as a file descriptor
+            raise ValueError("expected a path string for teacher_ckpt")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.steps < 1 or self.batch_size < 1:
@@ -306,18 +303,23 @@ class RunConfig:
         if not 0.0 <= self.neg_pair_prob <= 1.0:
             raise ValueError("neg_pair_prob must lie in [0, 1]")
         if not isinstance(self.hidden, (list, tuple)) or not all(
-                isinstance(h, int) and h > 0 for h in self.hidden):
+                type(h) is int and h > 0 for h in self.hidden):
             raise ValueError("hidden must be a list of positive layer widths")
         if not isinstance(self.gauss_mu, (list, tuple)) or not self.gauss_mu or not all(
-                _is_number(m) for m in self.gauss_mu):
+                is_number(m) for m in self.gauss_mu):
             raise ValueError("gauss_mu must be a non-empty list of numbers")
         if self.gauss_sigma <= 0:
             raise ValueError("gauss_sigma must be positive")
         self.dataset()  # the dataset checks its own fields
-        if isinstance(self.cfg, dict):
-            self.cfg = CfgConfig(**self.cfg)
-        if isinstance(self.loss, dict):
-            self.loss = LossConfig(**self.loss)
+        for name, kind in (("cfg", CfgConfig), ("loss", LossConfig)):
+            value, keys = getattr(self, name), set(kind.__dataclass_fields__)
+            if isinstance(value, dict):
+                if set(value) - keys:
+                    raise ValueError(f"unknown {name} keys: {sorted(set(value) - keys)}")
+                value = kind(**value)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be an object with keys {sorted(keys)}")
+            setattr(self, name, value)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -81,6 +81,27 @@ class TestParsingAndErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("setting, field", [
+        ("cfg=5", "cfg"),
+        ("cfg.bogus=1", "cfg"),
+        ("loss=[1]", "loss"),
+        ("hidden=[true,4]", "hidden"),
+        ("cfg.w=abc", "cfg.w"),
+        ("cfg.w=NaN", "cfg.w"),
+        ("cfg.kappa=abc", "cfg.kappa"),
+        ("loss.ratio_r=abc", "loss.ratio_r"),
+        ("loss.huber_c=abc", "loss.huber_c"),
+        ("lr=Infinity", "lr"),
+        ("teacher_ckpt=5", "teacher_ckpt"),
+    ])
+    def test_malformed_field_is_one_line_naming_it(self, setting, field, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train-teacher", "--set", setting, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert field in err.split(":", 1)[1]
+        assert not (out / "config.json").exists()
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert run(["train-teacher", "--config", str(tmp_path / "none.json"),
                     "--out", str(tmp_path)]) == 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mflow.flow
 import mflow.tensor
 from mflow.data import FlowBatch
 from mflow.flow import (CFG_MODES, CfgConfig, LossConfig, _student_jvp, cfg_velocity,
@@ -360,3 +361,104 @@ class TestMfdLoss:
             if p.grad is not None:
                 student.set_parameter(name, Tensor(p.data - 1e-3 * p.grad, requires_grad=True))
         assert mfd_loss(student, teacher, batch, cfg, lc).item() < loss0.item()
+
+
+def _dense_node(value, tangent, parents, backward):
+    """The former op result: parents and a backward rule on every node."""
+    return Tensor(value, tangent=tangent, _parents=parents, _backward=backward)
+
+
+def _tape_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestTapeUse:
+    """cfg_velocity builds no tape; the losses drop constant nodes only."""
+
+    def parts(self):
+        rng = np.random.default_rng(31)
+        teacher = FieldNet("teacher", z_dim=3, lr_dim=2, num_content=2, cond_dim=8,
+                           time_dim=8, hidden=(16, 16), seed=4)
+        student = init_student_from_teacher(teacher)
+        student.flat[...] = rng.normal(0.0, 0.5, size=student.flat.shape)
+        z0, z1 = rng.normal(size=(2, 5, 3))
+        t = rng.random(5)
+        return teacher, student, z0, z1, interpolate(z0, z1, t), t, rng.normal(size=(5, 2))
+
+    @pytest.mark.parametrize("mode", CFG_MODES)
+    def test_cfg_velocity_equals_the_taped_formula(self, mode):
+        teacher, student, z0, z1, z, t, z_lr = self.parts()
+        c = np.array([0, 1, 0, 1, 1])
+        cfg = CfgConfig(mode=mode, w=2.5, kappa=0.25)
+        out = cfg_velocity(teacher, z, t, z_lr, c, cfg, student=student, z0=z0, z1=z1)
+        if mode == "gt":
+            ref = z1 - z0
+        elif mode == "original_mf":
+            u_c = student_forward(student, z, t, t, z_lr, c)
+            u_null = student_forward(student, z, t, t, z_lr, student.null_id)
+            assert u_c._parents and u_null._parents
+            ref = cfg.w * (z1 - z0) + cfg.kappa * u_c.data + (1.0 - cfg.w - cfg.kappa) * u_null.data
+        else:
+            ref_id = teacher.null_id if mode == "teacher_null" else teacher.negative_id
+            v_c = teacher_forward(teacher, z, t, z_lr, c)
+            v_ref = teacher_forward(teacher, z, t, z_lr, ref_id)
+            assert v_c._parents and v_ref._parents
+            ref = v_c.data + cfg.w * (v_c.data - v_ref.data)
+        np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("mode", ["teacher_null", "original_mf"])
+    def test_cfg_velocity_nets_run_without_a_tape(self, mode, monkeypatch):
+        teacher, student, z0, z1, z, t, z_lr = self.parts()
+        results = []
+
+        def spy(forward):
+            def call(*args):
+                results.append(forward(*args))
+                return results[-1]
+            return call
+
+        monkeypatch.setattr(mflow.flow, "teacher_forward", spy(teacher_forward))
+        monkeypatch.setattr(mflow.flow, "student_forward", spy(student_forward))
+        cfg_velocity(teacher, z, t, z_lr, 0, CfgConfig(mode=mode, w=1.0), student=student,
+                     z0=z0, z1=z1)
+        assert len(results) == 2
+        assert all(r._parents == () for r in results)
+        assert (Tensor(1.0, requires_grad=True) * 2.0)._parents  # the tape is back on
+
+    @pytest.mark.parametrize("mode", ["teacher_null", "teacher_neg", "original_mf"])
+    def test_losses_drop_constant_nodes_only(self, mode, monkeypatch):
+        teacher, student, z0, z1, _, t, z_lr = self.parts()
+        rng = np.random.default_rng(32)
+        batch = FlowBatch(z0=z0, z1=z1, z_lr=z_lr, labels=np.array([0, 1, 0, 1, 3]), t=t,
+                          s=t + rng.random(5) * (1.0 - t))
+        cfg = CfgConfig(mode=mode, w=1.5, kappa=0.25)
+
+        def losses():
+            out = []
+            for loss in (mfd_loss(student, teacher, batch, cfg, LossConfig()),
+                         rf_loss(teacher, batch)):
+                for p in [*student.parameters().values(), *teacher.parameters().values()]:
+                    p.grad = None
+                loss.backward()
+                out.append((_tape_nodes(loss), [p.grad for p in student.parameters().values()],
+                            [p.grad for p in teacher.parameters().values()]))
+            return out
+
+        sparse = losses()
+        monkeypatch.setattr(mflow.tensor, "_node", _dense_node)
+        dense = losses()
+        for (n, *grads), (n_ref, *grads_ref) in zip(sparse, dense):
+            for got, ref in zip(grads, grads_ref):
+                for g, r in zip(got, ref):
+                    assert (g is None) == (r is None)
+                    if g is not None:
+                        np.testing.assert_array_equal(g, r)
+        # per time embedding, the t leaf, c_noise freqs, their product and sincos
+        # become one constant; rf_loss also reshapes its 1-d t
+        assert (dense[0][0] - sparse[0][0], dense[1][0] - sparse[1][0]) == (6, 4)

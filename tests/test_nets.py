@@ -3,7 +3,7 @@ import pytest
 
 from mflow.nets import (FieldNet, TimeEmbedder, init_student_from_teacher, student_forward,
                         teacher_forward)
-from mflow.tensor import Tensor, jvp
+from mflow.tensor import Tensor, jvp, no_tape
 
 
 def small_teacher(**kw):
@@ -247,3 +247,56 @@ class TestSharedTime:
                       self.per_row(0.3), np.ones(self.B))
         assert np.any(rows != 0.0)
         np.testing.assert_allclose(shared, rows, **self.TOL)
+
+
+NET_SHAPES = {"gauss": dict(z_dim=2, lr_dim=0, num_content=1, hidden=(16, 16)),
+              "sr": dict(z_dim=16, lr_dim=4, num_content=3, hidden=(24, 24))}
+
+
+class TestNoTape:
+    """A forward inside ``no_tape()`` gives the taped ``.data`` bit for bit."""
+
+    B = 6
+
+    @pytest.fixture(params=[(kind, shape) for kind in ("teacher", "student")
+                            for shape in NET_SHAPES], ids=lambda p: f"{p[0]}-{p[1]}")
+    def case(self, request):
+        kind, shape = request.param
+        args = NET_SHAPES[shape]
+        net = FieldNet("teacher", cond_dim=8, time_dim=8, seed=3, **args)
+        if kind == "student":
+            net = init_student_from_teacher(net)
+        rng = np.random.default_rng(4)
+        # every weight nonzero, the s-embedding, gate and LR skip included
+        net.flat[...] = rng.normal(0.0, 0.5, size=net.flat.shape)
+        z = rng.normal(size=(self.B, args["z_dim"]))
+        z_lr = rng.normal(size=(self.B, args["lr_dim"]))
+        labels = rng.integers(0, args["num_content"] + 2, self.B)
+        return net, z, z_lr, labels
+
+    @staticmethod
+    def forward(case, t, s):
+        net, z, z_lr, labels = case
+        if net.kind == "teacher":
+            return teacher_forward(net, z, t, z_lr, labels)
+        return student_forward(net, z, t, s, z_lr, labels)
+
+    @pytest.mark.parametrize("times", ["shared", "per_row"])
+    def test_equals_the_taped_forward(self, case, times):
+        rng = np.random.default_rng(5)
+        if times == "shared":
+            t, s = 0.3, 0.8
+        else:
+            t = rng.random(self.B)
+            s = t + rng.random(self.B) * (1.0 - t)
+        taped = self.forward(case, t, s)
+        assert taped._parents
+        with no_tape():
+            out = self.forward(case, t, s)
+        assert out._parents == () and out.tangent is None
+        np.testing.assert_array_equal(out.data, taped.data)
+
+    def test_checks_still_raise(self, case):
+        net, z, z_lr, labels = case
+        with no_tape(), pytest.raises(ValueError):
+            self.forward((net, z, z_lr, np.full(self.B, net.num_content + 2)), 0.3, 0.8)

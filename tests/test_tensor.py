@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflow.tensor import ShapeError, Tensor, concat, gather_rows, jvp, repeat_rows, sincos
+from mflow.tensor import (ShapeError, Tensor, concat, gather_rows, jvp, no_tape, repeat_rows,
+                          sincos)
 
 
 def _rand_mlp(rng, sizes):
@@ -193,6 +194,22 @@ class TestRepeatRows:
 
 
 class TestSilu:
+    X = np.concatenate([np.random.default_rng(13).normal(0.0, 4.0, size=(3, 5)),
+                        [[-40.0, -1e-300, 0.0, 1e-300, 40.0]]])
+
+    @pytest.mark.parametrize("shape", [(4, 5), ()])
+    def test_equals_the_reference_formulas(self, shape):
+        x = self.X if shape else np.array(self.X[0, 0])
+        v, w = np.random.default_rng(14).normal(size=(2, *np.shape(x)))
+        sig = 1.0 / (1.0 + np.exp(-x))
+        slope = sig * (1.0 + x * (1.0 - sig))
+        leaf = Tensor(x, requires_grad=True, tangent=v)
+        out = leaf.silu()
+        (out * Tensor(w)).sum().backward()
+        np.testing.assert_array_equal(out.data, x * sig)
+        np.testing.assert_array_equal(out.tangent, slope * v)
+        np.testing.assert_array_equal(leaf.grad, w * slope)
+
     def test_backward_bitwise_equal_with_and_without_tangent(self):
         rng = np.random.default_rng(12)
         x, v, w = rng.normal(size=(3, 4, 5))
@@ -309,6 +326,92 @@ class TestSincos:
         assert len(out._parents) == 1 and not out._parents[0]._parents
         for g, r in zip(got[:3], ref[:3]):
             np.testing.assert_array_equal(g, r)
+
+
+def _taped() -> bool:
+    return bool((Tensor(1.0, requires_grad=True) * 2.0)._parents)
+
+
+class TestNoTape:
+    rng = np.random.default_rng(23)
+    A, B, V = rng.normal(size=(3, 4, 3))
+    W = rng.normal(size=(3, 2))
+    OPS = {
+        "add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b,
+        "neg": lambda a, b: -a, "pow": lambda a, b: (a * a) ** 1.5,
+        "sqrt": lambda a, b: (a * a).sqrt(),
+        "silu": lambda a, b: a.silu(), "matmul": lambda a, b: a @ Tensor(TestNoTape.W),
+        "sum": lambda a, b: a.sum(axis=0), "mean": lambda a, b: a.mean(),
+        "reshape": lambda a, b: a.reshape(3, 4), "concat": lambda a, b: concat([a, b], axis=1),
+        "sincos": lambda a, b: sincos(a),
+        "repeat_rows": lambda a, b: repeat_rows(a.reshape(1, 12), 5),
+        "gather_rows": lambda a, b: gather_rows(a, [3, 0, 0, 2]),
+    }
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_value_equals_the_taped_one_without_parents_or_tangent(self, op):
+        f = self.OPS[op]
+        taped = f(Tensor(self.A, requires_grad=True, tangent=self.V), Tensor(self.B))
+        assert taped._parents
+        with no_tape():
+            out = f(Tensor(self.A, requires_grad=True, tangent=self.V), Tensor(self.B))
+        np.testing.assert_array_equal(out.data, taped.data)
+        assert out._parents == () and out._backward is None and out.tangent is None
+
+    def test_backward_through_a_value_only_result_reaches_no_leaf(self):
+        leaf = Tensor(self.A, requires_grad=True)
+        with no_tape():
+            loss = (leaf * leaf).sum()
+        loss.backward()
+        assert leaf.grad is None
+
+    def test_restores_the_tape_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_tape():
+                assert not _taped()
+                raise RuntimeError("boom")
+        assert _taped()
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        with no_tape():
+            with no_tape():
+                assert not _taped()
+            assert not _taped()
+        assert _taped()
+
+    def test_shape_and_index_checks_still_raise(self):
+        with no_tape():
+            with pytest.raises(ShapeError):
+                Tensor(np.ones((2, 3))) + Tensor(np.ones((3, 2)))
+            with pytest.raises(ShapeError):
+                Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+            with pytest.raises(ShapeError):
+                concat([Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2)))], axis=1)
+            with pytest.raises(ShapeError):
+                repeat_rows(Tensor(np.ones((2, 3))), 4)
+            with pytest.raises(IndexError):
+                gather_rows(Tensor(np.ones((2, 3))), [2])
+        assert _taped()
+
+    def test_jvp_refuses_to_run_without_the_tape(self):
+        with no_tape(), pytest.raises(RuntimeError, match="no_tape"):
+            jvp(lambda x: x * x, np.ones(2), np.ones(2))
+
+
+class TestConstantNodes:
+    """An op whose operands need no gradient records no parents."""
+
+    def test_op_on_constants_is_a_constant_that_keeps_its_tangent(self):
+        x = Tensor(np.ones((2, 2)), tangent=np.full((2, 2), 3.0))
+        out = sincos(x * Tensor(np.full((1, 2), 2.0)))
+        assert out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.tangent[:, :2], np.cos(2.0) * 6.0)
+
+    def test_op_on_a_parameter_is_recorded(self):
+        w = Tensor(np.ones((4, 2)), requires_grad=True)
+        const = sincos(Tensor(np.ones((2, 2))))
+        out = const @ w
+        assert out._parents == (const, w)
 
 
 class TestDeterminism:
