@@ -76,13 +76,6 @@ def _resolve_config(args) -> RunConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _write_resolved(config: RunConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="mflow", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -217,7 +210,8 @@ def run(argv: list[str]) -> int:
         config = _resolve_config(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_resolved(config, out)
+        (out / "config.json").write_text(
+            json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
         if args.command == "train-teacher":
             path = train_teacher(config, out)
             print(f"teacher checkpoint: {path}")

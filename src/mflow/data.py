@@ -15,8 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import sample_timestep_batch
-
 GEN2D_NAMES = ("checkerboard", "two_moons", "ring")
 
 
@@ -281,6 +279,15 @@ def build_sr_pool(dataset: ToySrDataset, n: int, base_seed: int) -> list[SrPair]
     rng = np.random.default_rng(base_seed)
     classes = rng.integers(0, dataset.num_content, n)
     return [dataset.make_pair(int(c), base_seed ^ (i + 1)) for i, c in enumerate(classes)]
+
+
+def sample_timestep_batch(rng: np.random.Generator, n: int, ratio_r: float):
+    """n pairs: t ~ U[0,1]; with probability ratio_r s ~ U[t,1], else s = t."""
+    t = rng.random(n)
+    gate = rng.random(n)
+    q = rng.random(n)
+    s = np.where(gate < ratio_r, t + q * (1.0 - t), t)
+    return t, s
 
 
 def make_batch(dataset, batch_size: int, rng: np.random.Generator,

@@ -85,15 +85,6 @@ def interpolate(z0, z1, t):
     return (1.0 - t) * z0 + t * z1
 
 
-def sample_timestep_batch(rng: np.random.Generator, n: int, ratio_r: float):
-    """n pairs: t ~ U[0,1]; with probability ratio_r s ~ U[t,1], else s = t."""
-    t = rng.random(n)
-    gate = rng.random(n)
-    q = rng.random(n)
-    s = np.where(gate < ratio_r, t + q * (1.0 - t), t)
-    return t, s
-
-
 def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
                  student: FieldNet | None = None, z0=None, z1=None) -> np.ndarray:
     """Instantaneous-velocity formulation selected by ``cfg.mode``.

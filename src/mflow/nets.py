@@ -8,8 +8,10 @@ whose ``.data`` is a reshaped view into the vector. ``FieldNet.views`` names
 the slices of any vector of that length the same way, so gradients and
 optimizer moments share the layout without knowing it. The student adds a
 projection of the interval end s ("s_emb.W", "s_emb.b") whose output is
-added to the t-embedding; it is zero-initialized so a freshly initialized
-student reproduces its teacher exactly for every s.
+added to the t-embedding. ``init_student_from_teacher`` zeroes it and
+embeds time at ``c_noise = 1``, so a fresh student equals its teacher's
+weights run at ``c_noise = 1`` for every s: exactly its teacher when the
+teacher's ``c_noise`` is 1 (the default ``teacher_c_noise``), and not otherwise.
 
 A t (or s) given per row is embedded per row. A scalar time shared by the
 whole batch, as in every sampling step, is embedded once as a single row
@@ -28,24 +30,28 @@ import numpy as np
 
 from .tensor import Tensor, concat, gather_rows, repeat_rows, sincos
 
+# Highest time frequency, in cycles per unit of ``c_noise * t``.
+MAX_FREQ = 32.0
+
 
 class TimeEmbedder:
     """Sinusoidal time features.
 
     The scalar time is first scaled by ``c_noise`` (the affine time
     transform); the feature vector is [sin(f_i * c_noise * t),
-    cos(f_i * c_noise * t)] with geometrically spaced frequencies, so the
-    norm of its time derivative scales exactly linearly in ``c_noise``.
+    cos(f_i * c_noise * t)] with frequencies spaced geometrically from 2 pi to
+    2 pi ``MAX_FREQ``, so the norm of its time derivative scales exactly
+    linearly in ``c_noise``.
     """
 
-    def __init__(self, dim: int, c_noise: float = 1.0, max_freq: float = 32.0):
+    def __init__(self, dim: int, c_noise: float = 1.0):
         if dim % 2 != 0:
             raise ValueError("time embedding dim must be even")
         self.dim = dim
         self.c_noise = float(c_noise)
         half = dim // 2
         exponents = np.arange(half) / max(half - 1, 1)
-        self.freqs = 2.0 * np.pi * max_freq ** exponents  # (half,)
+        self.freqs = 2.0 * np.pi * MAX_FREQ ** exponents  # (half,)
 
     def raw_features(self, t: Tensor) -> Tensor:
         """Sin/cos features of shape (B, dim) for t of shape (B, 1)."""
@@ -278,9 +284,10 @@ def init_student_from_teacher(teacher: FieldNet) -> FieldNet:
     """Student clone of the teacher: copied weights, added s-embedding.
 
     The s-embedding projection is zero, so the s-embedding is a no-op at
-    step 0 and the student matches the teacher exactly. The student time
-    transform is c_noise(t)=t to keep the time derivative (and hence the
-    JVP) well-scaled.
+    step 0. The student time transform is c_noise(t)=t to keep the time
+    derivative (and hence the JVP) well-scaled, so the fresh student equals
+    the teacher's weights run at ``c_noise = 1``: bit for bit the teacher
+    when its ``c_noise`` is 1, and a different field otherwise.
     """
     if teacher.kind != "teacher":
         raise ValueError("init_student_from_teacher needs a teacher net")

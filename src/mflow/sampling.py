@@ -114,32 +114,24 @@ def steps_sweep(student, dataset, n_list, seed: int, n_samples: int,
     rows = []
     for n in n_list:
         rng = np.random.default_rng(seed)
-        if isinstance(dataset, GaussianDataset):
-            flow = AnalyticFlow(dim=dataset.dim, mu=dataset.mu, sigma=dataset.sigma)
-            z0 = rng.standard_normal((n_samples, dataset.dim))
-            z_lr = np.zeros((n_samples, 0))
-            out = sample_student(student, z0, z_lr, 0, n)
-            mean_err, cov_err = moment_distance(out, flow)
-            rows.append({"N": n, "metric_name": "mean_err", "value": mean_err,
-                         "n_samples": n_samples, "seed": seed})
-            rows.append({"N": n, "metric_name": "cov_err", "value": cov_err,
-                         "n_samples": n_samples, "seed": seed})
-        elif isinstance(dataset, Gen2dDataset):
-            z0 = rng.standard_normal((n_samples, 2))
-            z_lr = np.zeros((n_samples, 0))
-            out = sample_student(student, z0, z_lr, 0, n)
-            ref = gen_2d(dataset.name, n_samples, rng)
-            rows.append({"N": n, "metric_name": "energy_distance",
-                         "value": energy_distance(out, ref),
-                         "n_samples": n_samples, "seed": seed})
+        count = n_samples
+        if isinstance(dataset, (GaussianDataset, Gen2dDataset)):
+            z0 = rng.standard_normal((n_samples, dataset.z_dim))
+            out = sample_student(student, z0, np.zeros((n_samples, 0)), 0, n)
+            if isinstance(dataset, GaussianDataset):
+                flow = AnalyticFlow(dim=dataset.dim, mu=dataset.mu, sigma=dataset.sigma)
+                metrics = dict(zip(("mean_err", "cov_err"), moment_distance(out, flow)))
+            else:
+                ref = gen_2d(dataset.name, n_samples, rng)
+                metrics = {"energy_distance": energy_distance(out, ref)}
         else:
             if pool is None:
                 raise ValueError("SR sweeps need a held-out pair pool")
             pairs = pool[:n_samples]
             vals = [psnr(sr_infer(student, p, dataset, n, rng), p.hr) for p in pairs]
-            rows.append({"N": n, "metric_name": "psnr_mean",
-                         "value": float(np.mean(vals)),
-                         "n_samples": len(pairs), "seed": seed})
+            metrics, count = {"psnr_mean": float(np.mean(vals))}, len(pairs)
+        rows += [{"N": n, "metric_name": name, "value": value, "n_samples": count, "seed": seed}
+                 for name, value in metrics.items()]
     return rows
 
 

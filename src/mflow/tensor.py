@@ -20,11 +20,11 @@ Shape and index checks still raise there.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-# False inside ``no_tape()``; read by ``_node`` at every op.
+# False inside ``no_tape()``; read by ``_node`` at every op, and by ``silu``.
 _tape = True
 
 
@@ -155,7 +155,7 @@ class Tensor:
     def __add__(self, other):
         a, b = self, Tensor._lift(other)
         shape = _broadcast_shape(a.shape, b.shape)
-        tan = _dual(a, b, shape, lambda ta: ta, lambda tb: tb, lambda ta, tb: ta + tb)
+        tan = _dual(a, b, shape, lambda ta: ta, lambda tb: tb)
         return _node(a.data + b.data, tan, (a, b),
                      lambda g: ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))))
 
@@ -167,15 +167,14 @@ class Tensor:
     def __sub__(self, other):
         a, b = self, Tensor._lift(other)
         shape = _broadcast_shape(a.shape, b.shape)
-        tan = _dual(a, b, shape, lambda ta: ta, lambda tb: -tb, lambda ta, tb: ta - tb)
+        tan = _dual(a, b, shape, lambda ta: ta, lambda tb: -tb)
         return _node(a.data - b.data, tan, (a, b),
                      lambda g: ((a, _unbroadcast(g, a.shape)), (b, -_unbroadcast(g, b.shape))))
 
     def __mul__(self, other):
         a, b = self, Tensor._lift(other)
         shape = _broadcast_shape(a.shape, b.shape)
-        tan = _dual(a, b, shape, lambda ta: ta * b.data, lambda tb: a.data * tb,
-                    lambda ta, tb: ta * b.data + a.data * tb)
+        tan = _dual(a, b, shape, lambda ta: ta * b.data, lambda tb: a.data * tb)
         return _node(a.data * b.data, tan, (a, b),
                      lambda g: ((a, _unbroadcast(g * b.data, a.shape)),
                                 (b, _unbroadcast(g * a.data, b.shape))))
@@ -205,6 +204,8 @@ class Tensor:
         np.exp(sig, out=sig)
         sig += 1.0
         np.divide(1.0, sig, out=sig)
+        if not _tape:  # nothing reads the slope, so the value takes sig's buffer
+            return Tensor(np.multiply(a.data, sig, out=sig))
 
         def slope():
             out = np.subtract(1.0, sig)
@@ -225,8 +226,7 @@ class Tensor:
         if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
         shape = (a.shape[0], b.shape[1])
-        tan = _dual(a, b, shape, lambda ta: ta @ b.data, lambda tb: a.data @ tb,
-                    lambda ta, tb: ta @ b.data + a.data @ tb)
+        tan = _dual(a, b, shape, lambda ta: ta @ b.data, lambda tb: a.data @ tb)
         return _node(a.data @ b.data, tan, (a, b),
                      lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
 
@@ -279,22 +279,24 @@ def _node(value, tangent, parents: tuple, backward: Callable) -> Tensor:
     return Tensor(value, tangent=tangent)
 
 
-def _dual(a: Tensor, b: Tensor, shape: tuple, left, right, both) -> np.ndarray | None:
-    """Tangent of a binary op, from the operands that carry one.
+def _dual(a: Tensor, b: Tensor, shape: tuple, left, right) -> np.ndarray | None:
+    """Tangent of a binary op: ``left(ta) + right(tb)`` over the operands that carry one.
 
-    ``left(ta)`` and ``right(tb)`` are the op's rule when only ``a`` or only
-    ``b`` has a tangent, so no product with a zero tangent is formed;
-    ``both(ta, tb)`` is the full rule. A one-sided tangent smaller than the
-    output, such as a (1, k) row against (B, k), is broadcast to ``shape`` as
-    a read-only view.
+    ``left`` and ``right`` are the op's linear rules in each operand, so no
+    product with a zero tangent is formed. For ``-`` the right rule is
+    ``-tb``, and ``ta + (-tb)`` is ``ta - tb`` bit for bit under IEEE. A
+    one-sided tangent smaller than the output, such as a (1, k) row against
+    (B, k), is broadcast to ``shape`` as a read-only view.
     """
     ta, tb = a.tangent, b.tangent
-    if ta is None:
-        if tb is None:
-            return None
+    if ta is None and tb is None:
+        return None
+    if tb is None:
+        tan = left(ta)
+    elif ta is None:
         tan = right(tb)
     else:
-        tan = left(ta) if tb is None else both(ta, tb)
+        tan = left(ta) + right(tb)
     return tan if tan.shape == shape else np.broadcast_to(tan, shape)
 
 
@@ -376,25 +378,22 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     return _node(out, tan, (table,), back)
 
 
-def jvp(f: Callable, xs, vs) -> tuple[Tensor, np.ndarray]:
-    """Evaluate ``f`` and its directional derivative along ``vs`` in one pass.
+def jvp(f: Callable, xs: Sequence, vs: Sequence) -> tuple[Tensor, np.ndarray]:
+    """Evaluate ``f(*xs)`` and its directional derivative along ``vs`` in one pass.
 
-    ``xs``/``vs`` may be single arrays or sequences of arrays with matching
-    shapes. Returns ``(f(xs), J_f(xs) @ vs)``; the tangent is a plain array.
-    Raises RuntimeError inside ``no_tape()``, where results carry no tangent.
+    ``xs`` and ``vs`` are sequences of arrays with matching shapes. Returns
+    ``(f(*xs), J_f(xs) @ vs)``; the tangent is a plain array. Raises
+    RuntimeError inside ``no_tape()``, where results carry no tangent.
     """
     if not _tape:
         raise RuntimeError("jvp() inside no_tape(): results there carry no tangent")
-    single = not isinstance(xs, (tuple, list))
-    xs_seq: Iterable = [xs] if single else xs
-    vs_seq: Iterable = [vs] if single else vs
     duals = []
-    for x, v in zip(xs_seq, vs_seq, strict=True):
+    for x, v in zip(xs, vs, strict=True):
         x = np.asarray(x, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         if x.shape != v.shape:
             raise ShapeError(f"tangent shape {v.shape} != input shape {x.shape}")
         duals.append(Tensor(x, tangent=v))
-    out = f(duals[0]) if single else f(*duals)
+    out = f(*duals)
     tangent = out.tangent if out.tangent is not None else np.zeros_like(out.data)
     return out, tangent

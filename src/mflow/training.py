@@ -45,6 +45,10 @@ class CheckpointError(ValueError):
 # runs block by block: the block's slices of p, g, m, v and two scratch
 # blocks stay in cache across its 14 passes.
 ADAM_BLOCK = 32768
+# Decay rates of the two moments and the denominator's offset (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
@@ -55,12 +59,8 @@ class Adam:
     checkpoint.
     """
 
-    def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -71,18 +71,18 @@ class Adam:
         """One update of ``params`` in place; ``grad`` must be finite (the clip checks)."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for start in range(0, params.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
             p, g, m, v = params[block], grad[block], self.m[block], self.v[block]
             a, b = self._a[:p.size], self._b[:p.size]
             # m <- beta1*m + (1-beta1)*g; v <- beta2*v + (1-beta2)*g*g
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             np.add(m, a, out=m)
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
             # p <- p - lr*(m/bc1) / (sqrt(v/bc2) + eps), staged through the buffers
@@ -90,7 +90,7 @@ class Adam:
             np.multiply(a, self.lr, out=a)
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            np.add(b, self.eps, out=b)
+            np.add(b, ADAM_EPS, out=b)
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
 
@@ -322,8 +322,7 @@ class RunConfig:
             setattr(self, name, value)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -373,16 +372,6 @@ def _lr_at(config: RunConfig, step: int) -> float:
     return config.lr_final + (config.lr - config.lr_final) * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
-def _rng_state_meta(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
-
-
 def _backward_into(loss: Tensor, params: dict[str, Tensor],
                    grads: dict[str, np.ndarray]) -> None:
     """Backpropagate ``loss`` and copy each parameter's gradient into ``grads``.
@@ -429,15 +418,17 @@ def _save_net_checkpoint(path, net: FieldNet, adam: Adam, config: RunConfig,
     tensors.update(adam.state_arrays(net.views))
     meta = {"role": role, "step": step, "config_digest": config.digest(),
             "net_config": net.config(), "config": config.to_dict(),
-            "adam_step": adam.step_count, "rng_state": _rng_state_meta(rng)}
+            "adam_step": adam.step_count, "rng_state": rng.bit_generator.state}
     save_checkpoint(path, tensors, meta)
 
 
-def _load_net(path, moments: bool = True) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
+def _load_net(path, kind: str | None = None, moments: bool = False
+              ) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
     """The net of a checkpoint, its tensors and its metadata.
 
-    Without ``moments`` the Adam moments (``adam.*``) are not read, as a net
-    that only runs forward does not need them.
+    A ``kind`` ("teacher" or "student") refuses a net of the other kind. The
+    Adam moments (``adam.*``) are read only with ``moments``, as a net that
+    only runs forward does not need them.
     """
     tensors, meta = load_checkpoint(path, skip=None if moments else "adam.")
     config = meta.get("net_config") if isinstance(meta, dict) else None
@@ -447,6 +438,8 @@ def _load_net(path, moments: bool = True) -> tuple[FieldNet, dict[str, np.ndarra
         net = FieldNet._from_arrays(config, tensors)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
+    if kind is not None and net.kind != kind:
+        raise CheckpointError(f"{path} does not hold a {kind} checkpoint")
     return net, tensors, meta
 
 
@@ -485,7 +478,8 @@ def _resume_state(path, net: FieldNet, adam: Adam, tensors: dict[str, np.ndarray
             raise CheckpointError(f"{path}: no valid {key!r} to resume from")
     try:
         copy_into(adam.state_arrays(net.views), tensors)
-        rng = _restore_rng(meta.get("rng_state"))
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = meta.get("rng_state")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: cannot resume ({exc})") from exc
     adam.step_count = meta["adam_step"]
@@ -532,7 +526,7 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
     out.mkdir(parents=True, exist_ok=True)
     dataset = config.dataset()
     if resume:
-        teacher, tensors, meta = _load_role(resume, "teacher")
+        teacher, tensors, meta = _load_net(resume, "teacher", moments=True)
         _check_teacher_fits(config, dataset, teacher, resume)
         adam = Adam(teacher.param_count(), lr=config.lr)
         start, rng = _resume_state(resume, teacher, adam, tensors, meta)
@@ -548,22 +542,14 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
         lambda batch: rf_loss(teacher, batch))
 
 
-def _load_role(path, kind: str, moments: bool = True
-               ) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
-    net, tensors, meta = _load_net(path, moments)
-    if net.kind != kind:
-        raise CheckpointError(f"{path} does not hold a {kind} checkpoint")
-    return net, tensors, meta
-
-
 def load_teacher(path) -> FieldNet:
     """A teacher for inference or distillation; its Adam moments are not read."""
-    return _load_role(path, "teacher", moments=False)[0]
+    return _load_net(path, "teacher")[0]
 
 
 def load_student(path) -> FieldNet:
     """A student for inference; its Adam moments are not read."""
-    return _load_role(path, "student", moments=False)[0]
+    return _load_net(path, "student")[0]
 
 
 def describe_checkpoint(path) -> dict:
@@ -572,7 +558,7 @@ def describe_checkpoint(path) -> dict:
     ``params_digest`` covers the weights alone, so it does not move with the
     metadata bytes. Raises CheckpointError for a file that does not load.
     """
-    net, _, meta = _load_net(path, moments=False)
+    net, _, meta = _load_net(path)
     return {"role": meta.get("role"), "kind": net.kind, "step": meta.get("step"),
             "adam_step": meta.get("adam_step"), "param_count": net.param_count(),
             "params_digest": params_digest(net.parameters()),

@@ -115,7 +115,7 @@ def test_autodiff_matches_finite_differences():
             worst_rev = max(worst_rev, float(np.max(np.abs(w.grad - fd) / denom)))
         # forward mode (JVP) vs a central directional difference
         v = rng.normal(size=x.shape)
-        _, tan = jvp(f, x, v)
+        _, tan = jvp(f, (x,), (v,))
         h = 1e-6
         fd_dir = (f(Tensor(x + h * v)).item() - f(Tensor(x - h * v)).item()) / (2 * h)
         worst_fwd = max(worst_fwd, abs(float(tan) - fd_dir) / max(abs(fd_dir), 1e-3))

@@ -22,14 +22,25 @@ def base_config(tmp_path, **kw):
     return str(path)
 
 
-def test_cli_import_loads_no_scipy():
-    # the runtime needs numpy alone; scipy is a test dependency
-    code = "import sys, mflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def _modules_loaded_by(module: str, prefix: str) -> list[str]:
+    """Names starting with ``prefix`` in sys.modules after a fresh interpreter imports ``module``."""
+    code = (f"import json, sys, {module}; "
+            f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))")
     src = str(Path(mflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy alone; scipy is a test dependency
+    assert _modules_loaded_by("mflow.cli", "scipy") == []
+
+
+def test_data_module_loads_no_other_mflow_module():
+    # datasets and batches stand apart from the nets, the losses and the engine
+    assert _modules_loaded_by("mflow.data", "mflow.") == ["mflow.data"]
 
 
 class TestParsingAndErrors:

@@ -35,7 +35,7 @@ class TestTimeEmbedder:
         np.testing.assert_array_equal(tan1000, 1000.0 * tan1)
 
     def test_frequencies_geometric(self):
-        emb = TimeEmbedder(8, max_freq=32.0)
+        emb = TimeEmbedder(8)
         ratios = emb.freqs[1:] / emb.freqs[:-1]
         np.testing.assert_allclose(ratios, ratios[0])
         assert emb.freqs[0] == pytest.approx(2 * np.pi)
@@ -159,6 +159,21 @@ class TestStudentInit:
                 u = student_forward(student, z, t, s, lr, 1).data
                 np.testing.assert_array_equal(u, v)
 
+    def test_student_runs_its_teacher_at_c_noise_one(self):
+        # the student embeds time at c_noise = 1 whatever its teacher's c_noise
+        teacher = small_teacher(seed=9, c_noise=2.0)
+        at_one = small_teacher(seed=9, c_noise=1.0)  # the same draw: c_noise draws nothing
+        student = init_student_from_teacher(teacher)
+        z = np.random.default_rng(0).normal(size=(4, 3))
+        lr = np.zeros((4, 0))
+        for t in (0.0, 0.33, 0.9):
+            v = teacher_forward(at_one, z, t, lr, 1).data
+            for s in (t, 0.95, 1.0):
+                np.testing.assert_array_equal(student_forward(student, z, t, s, lr, 1).data, v)
+        # at t = 0 every feature is sin 0 or cos 0, so c_noise shows only later
+        assert np.any(teacher_forward(teacher, z, 0.33, lr, 1).data
+                      != teacher_forward(at_one, z, 0.33, lr, 1).data)
+
     def test_student_rejects_backward_interval(self):
         student = init_student_from_teacher(small_teacher())
         with pytest.raises(ValueError):
@@ -242,9 +257,9 @@ class TestSharedTime:
                                        err_msg=name)
 
     def test_tangent_in_t(self, case):
-        _, shared = jvp(lambda t: self.forward(case, t, 0.8), np.array(0.3), np.array(1.0))
+        _, shared = jvp(lambda t: self.forward(case, t, 0.8), (np.array(0.3),), (np.array(1.0),))
         _, rows = jvp(lambda t: self.forward(case, t, self.per_row(0.8)),
-                      self.per_row(0.3), np.ones(self.B))
+                      (self.per_row(0.3),), (np.ones(self.B),))
         assert np.any(rows != 0.0)
         np.testing.assert_allclose(shared, rows, **self.TOL)
 

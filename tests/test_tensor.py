@@ -62,11 +62,11 @@ class TestJvp:
     def test_identity(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=5)
-        _, tan = jvp(lambda x: x * 1.0, rng.normal(size=5), v)
+        _, tan = jvp(lambda x: x * 1.0, (rng.normal(size=5),), (v,))
         np.testing.assert_allclose(tan, v)
 
     def test_square(self):
-        out, tan = jvp(lambda x: x * x, np.array(3.0), np.array(1.0))
+        out, tan = jvp(lambda x: x * x, (np.array(3.0),), (np.array(1.0),))
         assert out.item() == 9.0
         assert tan == 6.0
 
@@ -80,7 +80,7 @@ class TestJvp:
 
         x = rng.normal(size=(2, 4))
         v = rng.normal(size=(2, 4))
-        _, tan = jvp(f, x, v)
+        _, tan = jvp(f, (x,), (v,))
         h = 1e-5
         fd = (f(Tensor(x + h * v)).data - f(Tensor(x - h * v)).data) / (2 * h)
         np.testing.assert_allclose(tan, fd, rtol=1e-4)
@@ -95,9 +95,9 @@ class TestJvp:
         x = rng.normal(size=(1, 4))
         v1, v2 = rng.normal(size=(2, 1, 4))
         a, b = 2.5, -1.25
-        _, t1 = jvp(f, x, v1)
-        _, t2 = jvp(f, x, v2)
-        _, t3 = jvp(f, x, a * v1 + b * v2)
+        _, t1 = jvp(f, (x,), (v1,))
+        _, t2 = jvp(f, (x,), (v2,))
+        _, t3 = jvp(f, (x,), (a * v1 + b * v2,))
         np.testing.assert_allclose(t3, a * t1 + b * t2, rtol=1e-9)
 
     def test_jvp_grad_consistency(self):
@@ -109,7 +109,7 @@ class TestJvp:
 
         x = rng.normal(size=(1, 5))
         v = rng.normal(size=(1, 5))
-        _, tan = jvp(f, x, v)
+        _, tan = jvp(f, (x,), (v,))
         leaf = Tensor(x, requires_grad=True)
         f(leaf).backward()
         np.testing.assert_allclose(float(np.sum(leaf.grad * v)), float(tan), rtol=1e-6)
@@ -174,9 +174,9 @@ class TestRepeatRows:
     def test_tangent_matches_finite_difference(self):
         rng = np.random.default_rng(1)
         x, v = rng.normal(size=(2, 1, 3))
-        _, tan = jvp(lambda t: repeat_rows(t, 4), x, v)
+        _, tan = jvp(lambda t: repeat_rows(t, 4), (x,), (v,))
         np.testing.assert_array_equal(tan, np.repeat(v, 4, axis=0))
-        _, tan = jvp(self.f, x, v)
+        _, tan = jvp(self.f, (x,), (v,))
         np.testing.assert_allclose(tan, self.central_difference(x, v), rtol=1e-6)
 
     def test_gradient_matches_finite_difference(self):
@@ -395,7 +395,7 @@ class TestNoTape:
 
     def test_jvp_refuses_to_run_without_the_tape(self):
         with no_tape(), pytest.raises(RuntimeError, match="no_tape"):
-            jvp(lambda x: x * x, np.ones(2), np.ones(2))
+            jvp(lambda x: x * x, (np.ones(2),), (np.ones(2),))
 
 
 class TestConstantNodes:
@@ -443,7 +443,7 @@ def test_jvp_linearity_property(xs, a, b):
     def f(t):
         return (t * t).sum() + (sincos(t) ** 3.0).sum()
 
-    _, t1 = jvp(f, x, v1)
-    _, t2 = jvp(f, x, v2)
-    _, t3 = jvp(f, x, a * v1 + b * v2)
+    _, t1 = jvp(f, (x,), (v1,))
+    _, t2 = jvp(f, (x,), (v2,))
+    _, t3 = jvp(f, (x,), (a * v1 + b * v2,))
     np.testing.assert_allclose(t3, a * t1 + b * t2, rtol=1e-9, atol=1e-9)
