@@ -238,7 +238,7 @@ class TestCheckpointContainer:
 
     def test_loaded_net_owns_writable_weights(self, tmp_path):
         path = train_teacher(tiny_config(steps=2), tmp_path)
-        net, tensors, _ = _load_net(path)
+        net, tensors, _ = _load_net(path, moments=True)
         assert net.flat.flags.writeable
         assert not any(np.shares_memory(net.flat, arr) for arr in tensors.values())
         net.set_parameter("layer0.b", Tensor(np.ones(net.params["layer0.b"].shape)))
@@ -320,7 +320,7 @@ class TestCheckpointRejection:
         assert set(weights) == {name for name in tensors if not name.startswith("adam.")}
         assert len(weights) < len(tensors)
         np.testing.assert_array_equal(load_teacher(teacher_ckpt).flat,
-                                      _load_net(teacher_ckpt)[0].flat)
+                                      _load_net(teacher_ckpt, moments=True)[0].flat)
 
     @pytest.mark.parametrize("edit", ["truncated", "trailing"])
     def test_inference_load_refuses_a_bad_length(self, teacher_ckpt, scratch, edit):
