@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import (Gen2dDataset, build_sr_pool, gen_2d, write_manifest, write_pgm)
 from .oracle import AnalyticFlow, identity_residual_grid, write_residual_csv
-from .sampling import sr_infer, sample_student, steps_sweep, write_sweep_csv
+from .sampling import sample_student, sr_restore, steps_sweep, write_sweep_csv
 from .training import (CheckpointError, NumericalAbort, RunConfig, check_dataset,
                        describe_checkpoint, distill_student, load_student, train_teacher)
 
@@ -164,13 +164,12 @@ def _cmd_sample(args, config: RunConfig, out: Path) -> int:
     rng = np.random.default_rng(config.seed)
     if config.task == "toysr":
         pool = build_sr_pool(dataset, args.n, config.seed + 1)
-        vals = []
-        for i, pair in enumerate(pool):
-            img = sr_infer(student, pair, dataset, args.steps, rng)
+        imgs = sr_restore(student, np.stack([p.lr for p in pool]), [p.label for p in pool],
+                          dataset, args.steps, rng)
+        for i, (img, pair) in enumerate(zip(imgs, pool)):
             write_pgm(out / f"sr_{i:03d}.pgm", img)
             write_pgm(out / f"sr_{i:03d}_lr.pgm", pair.lr)
-            vals.append(img)
-        print(f"wrote {len(vals)} restorations to {out}")
+        print(f"wrote {len(pool)} restorations to {out}")
     else:
         z0 = rng.standard_normal((args.n, dataset.z_dim))
         z_lr = np.zeros((args.n, 0))

@@ -16,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 GEN2D_NAMES = ("checkerboard", "two_moons", "ring")
+# Pairs per chunk of an SR pool build: the chunk's blur temporaries stay in cache.
+POOL_CHUNK = 64
 
 
 @dataclass
@@ -76,36 +78,79 @@ def gen_2d(dist_name: str, n: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown 2-D distribution {dist_name!r}; valid: {GEN2D_NAMES}")
 
 
+# Largest dot count of a class-2 pattern, and the width of a row of pattern draws.
+MAX_DOTS = 4
+_DRAW_WIDTH = 3 + 4 * MAX_DOTS
+
+
+def _pattern_draws(class_id: int, rng: np.random.Generator) -> list[float]:
+    """The scalars of one pattern, drawn from ``rng`` in a fixed order.
+
+    0: freq, theta, phase; 1: fx, fy, px, py; 2: cx, cy, the dot count, then
+    dx, dy, 2 sig^2 and amp per dot.
+    """
+    if class_id == 0:
+        return [rng.uniform(1.0, 3.0), rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)]
+    if class_id == 1:
+        fx = rng.integers(1, 4)
+        fy = rng.integers(1, 4)
+        return [fx, fy, *rng.uniform(0.0, 2.0 * np.pi, 2)]
+    if class_id == 2:
+        draws = [*rng.uniform(0.3, 0.7, 2), int(rng.integers(2, MAX_DOTS + 1))]
+        for _ in range(draws[2]):
+            dx, dy = rng.uniform(0.1, 0.9, 2)
+            sig = rng.uniform(0.06, 0.12)
+            draws += [dx, dy, 2.0 * sig ** 2, rng.uniform(-0.35, 0.35)]
+        return draws
+    raise ValueError(f"pattern classes are content labels 0..2, got {class_id} "
+                     "(null/negative label conditioning, not content)")
+
+
+def _render(class_id: int, draws: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The (m, height, width) patterns of one class from their (m, _DRAW_WIDTH) draws.
+
+    Each pixel gets the same operations as a single pattern would, so a
+    pattern's bits do not depend on the others in the stack. Terms that vary
+    along one axis only are computed on that axis and broadcast.
+    """
+    y = (np.arange(height) / height)[:, None]
+    x = np.arange(width) / width
+
+    def col(j: int) -> np.ndarray:
+        return draws[:, j, None, None]
+
+    if class_id == 0:
+        freq, theta, phase = col(0), col(1), col(2)
+        wave = np.sin(2.0 * np.pi * freq * (np.cos(theta) * x + np.sin(theta) * y) + phase)
+        return 0.5 + 0.45 * wave
+    if class_id == 1:
+        fx, fy, px, py = col(0), col(1), col(2), col(3)
+        return 0.5 + 0.45 * np.sin(2.0 * np.pi * fx * x + px) * np.sin(2.0 * np.pi * fy * y + py)
+    cx, cy = col(0), col(1)
+    r = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
+    img = 1.0 - np.clip(r / 0.8, 0.0, 1.0)
+    dots = draws[:, 2]
+    fewest = dots.min()
+    for k in range(int(dots.max())):
+        # the patterns with a k-th dot; a view when that is all of them, as
+        # for the one pattern of gen_pattern
+        rows = slice(None) if k < fewest else np.flatnonzero(dots > k)
+        dx, dy, two_var, amp = (draws[rows, 3 + 4 * k + j, None, None] for j in range(4))
+        img[rows] += amp * np.exp(-((x - dx) ** 2 + (y - dy) ** 2) / two_var)
+    return np.clip(img, 0.0, 1.0)
+
+
 def gen_pattern(class_id: int, height: int, width: int, rng: np.random.Generator) -> np.ndarray:
     """Procedural grayscale HR pattern in [0, 1] for a content class.
 
     0 = oriented stripes, 1 = checker texture, 2 = radial gradient with dots;
-    frequency and phase are randomized by ``rng``.
+    frequency and phase are randomized by ``rng``. The one-pattern case of
+    ``build_sr_pool``'s batched render.
     """
-    yy, xx = np.meshgrid(np.arange(height) / height, np.arange(width) / width, indexing="ij")
-    if class_id == 0:
-        freq = rng.uniform(1.0, 3.0)
-        theta = rng.uniform(0.0, np.pi)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        wave = np.sin(2.0 * np.pi * freq * (np.cos(theta) * xx + np.sin(theta) * yy) + phase)
-        return 0.5 + 0.45 * wave
-    if class_id == 1:
-        fx = rng.integers(1, 4)
-        fy = rng.integers(1, 4)
-        px, py = rng.uniform(0.0, 2.0 * np.pi, 2)
-        return 0.5 + 0.45 * np.sin(2.0 * np.pi * fx * xx + px) * np.sin(2.0 * np.pi * fy * yy + py)
-    if class_id == 2:
-        cx, cy = rng.uniform(0.3, 0.7, 2)
-        r = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2)
-        img = 1.0 - np.clip(r / 0.8, 0.0, 1.0)
-        for _ in range(int(rng.integers(2, 5))):
-            dx, dy = rng.uniform(0.1, 0.9, 2)
-            sig = rng.uniform(0.06, 0.12)
-            amp = rng.uniform(-0.35, 0.35)
-            img = img + amp * np.exp(-((xx - dx) ** 2 + (yy - dy) ** 2) / (2.0 * sig ** 2))
-        return np.clip(img, 0.0, 1.0)
-    raise ValueError(f"pattern classes are content labels 0..2, got {class_id} "
-                     "(null/negative label conditioning, not content)")
+    draws = np.zeros((1, _DRAW_WIDTH))
+    row = _pattern_draws(class_id, rng)
+    draws[0, :len(row)] = row
+    return _render(class_id, draws, height, width)[0]
 
 
 @lru_cache(maxsize=16)
@@ -152,48 +197,65 @@ def _correlate(x: np.ndarray, taps: np.ndarray, step: int, out: np.ndarray) -> N
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """2-D Gaussian blur with mirrored edges, bit for bit equal to
-    ``scipy.ndimage.gaussian_filter(img, sigma, mode="reflect")``.
+    """2-D Gaussian blur with mirrored edges of an image or a stack of images
+    (the last two axes), bit for bit equal to
+    ``scipy.ndimage.gaussian_filter(img, sigma, mode="reflect")`` per image.
 
-    The kernel is truncated at 4 sigma, radius r. One gather pads both axes
-    by r; the pad columns are copies of image columns, so after the axis-0
-    pass they hold the mirrored columns that the axis-1 pass reads. Both
-    passes run over flat contiguous arrays: along axis 1 the shifted slices
-    cross the row ends, and the values computed there land in the pad
-    columns, which are dropped.
+    The kernel is truncated at 4 sigma, radius r. The m images are laid out
+    pixel-major, (rows, columns, m), so both passes run over one flat
+    contiguous array, m images at a time. One gather pads both axes by r;
+    the pad columns are copies of image columns, so after the axis-0 pass
+    they hold the mirrored columns that the axis-1 pass reads. Along axis 1
+    the shifted slices cross the row ends, and the values computed there
+    land in the pad columns, which are dropped.
     """
     img = np.asarray(img, dtype=np.float64)
     if sigma <= 1e-15:  # scipy skips such an axis
         return img.copy()
-    h, w = img.shape
+    *stack, h, w = img.shape
     taps, pad = _blur_plan(float(sigma), h, w)
     r = len(taps) - 1
     wide = w + 2 * r
-    down = np.empty((h, wide))
-    _correlate(img.ravel()[pad], taps, wide, down.ravel())
-    across = np.empty((h, wide))
-    _correlate(down.ravel(), taps, 1, across.ravel()[:h * wide - 2 * r])
-    return np.ascontiguousarray(across[:, :w])
+    pixels = img.reshape(-1, h * w).T  # (h w, m): one column per image
+    m = pixels.shape[1]
+    down = np.empty((h, wide, m))
+    _correlate(pixels[pad].ravel(), taps, wide * m, down.ravel())
+    across = np.empty((h, wide, m))
+    _correlate(down.ravel(), taps, m, across.ravel()[:(h * wide - 2 * r) * m])
+    return np.ascontiguousarray(across[:, :w].transpose(2, 0, 1)).reshape(*stack, h, w)
+
+
+def _degrade_stack(hr: np.ndarray, params: DegradeParams,
+                   noise: np.ndarray | None) -> np.ndarray:
+    """``degrade`` of an (m, h, w) stack, with each image's noise given."""
+    m, h, w = hr.shape
+    k = params.scale
+    x = gaussian_blur(hr, params.blur_sigma) if params.blur_sigma > 0 else hr
+    x = x.reshape(m, h // k, k, w // k, k).mean(axis=(2, 4))
+    if params.quant_levels >= 2:
+        levels = params.quant_levels - 1
+        x = np.round(x * levels) / levels
+    if noise is not None:
+        x = x + noise
+    return np.clip(x, 0.0, 1.0)
 
 
 def degrade(hr: np.ndarray, params: DegradeParams, rng: np.random.Generator) -> np.ndarray:
-    """Blur -> block-mean downsample -> optional quantize -> noise, clamped."""
+    """Blur -> block-mean downsample -> optional quantize -> noise, clamped.
+
+    The one-image case of ``build_sr_pool``'s batched degradation.
+    """
     hr = np.asarray(hr, dtype=np.float64)
     h, w = hr.shape
     k = params.scale
     if h % k != 0 or w % k != 0:
         raise ValueError(f"scale {k} does not divide image dims {hr.shape}")
-    x = gaussian_blur(hr, params.blur_sigma) if params.blur_sigma > 0 else hr
-    x = x.reshape(h // k, k, w // k, k).mean(axis=(1, 3))
-    if params.quant_levels >= 2:
-        levels = params.quant_levels - 1
-        x = np.round(x * levels) / levels
-    if params.noise_sigma > 0:
-        x = x + rng.normal(0.0, params.noise_sigma, x.shape)
-    return np.clip(x, 0.0, 1.0)
+    noise = (rng.normal(0.0, params.noise_sigma, (1, h // k, w // k))
+             if params.noise_sigma > 0 else None)
+    return _degrade_stack(hr[None], params, noise)[0]
 
 
-def extra_degrade(hr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def extra_degrade(hr: np.ndarray) -> np.ndarray:
     """Mildly blurred, contrast-flattened HR; the negative label's target.
 
     Deliberately gentle: guidance extrapolates along (v_cond - v_negative)
@@ -267,18 +329,40 @@ class ToySrDataset:
     def negative_id(self) -> int:
         return self.num_content + 1
 
-    def make_pair(self, class_id: int, seed: int) -> SrPair:
-        rng = np.random.default_rng(seed)
-        hr = gen_pattern(class_id, self.hr_size, self.hr_size, rng)
-        lr = degrade(hr, self.params, rng)
-        return SrPair(hr=hr, lr=lr, label=class_id, seed=seed)
-
 
 def build_sr_pool(dataset: ToySrDataset, n: int, base_seed: int) -> list[SrPair]:
-    """Deterministic pool of SR pairs; per-pair seed = base ^ index."""
+    """Deterministic pool of SR pairs; per-pair seed = base ^ (index + 1).
+
+    Pair i is ``gen_pattern`` then ``degrade`` with one generator seeded by its
+    seed. One loop draws every pair's pattern scalars and then its noise from
+    that generator; rendering, blur, block mean, noise and clipping then run
+    on chunks of POOL_CHUNK pairs, with the same bits as one pair at a time.
+    Each pair's ``hr`` and ``lr`` are read-only views into two shared stacks.
+    """
     rng = np.random.default_rng(base_seed)
     classes = rng.integers(0, dataset.num_content, n)
-    return [dataset.make_pair(int(c), base_seed ^ (i + 1)) for i, c in enumerate(classes)]
+    size, lr_size, params = dataset.hr_size, dataset.lr_size, dataset.params
+    seeds = [base_seed ^ (i + 1) for i in range(n)]
+    draws = np.zeros((n, _DRAW_WIDTH))
+    noise = np.empty((n, lr_size, lr_size)) if params.noise_sigma > 0 else None
+    for i, (c, seed) in enumerate(zip(classes, seeds)):
+        pair_rng = np.random.default_rng(seed)
+        row = _pattern_draws(int(c), pair_rng)
+        draws[i, :len(row)] = row
+        if noise is not None:
+            noise[i] = pair_rng.normal(0.0, params.noise_sigma, (lr_size, lr_size))
+    hr = np.empty((n, size, size))
+    lr = np.empty((n, lr_size, lr_size))
+    for a in range(0, n, POOL_CHUNK):
+        b = min(a + POOL_CHUNK, n)
+        for c in np.unique(classes[a:b]):
+            rows = a + np.flatnonzero(classes[a:b] == c)
+            hr[rows] = _render(int(c), draws[rows], size, size)
+        lr[a:b] = _degrade_stack(hr[a:b], params, None if noise is None else noise[a:b])
+    hr.setflags(write=False)
+    lr.setflags(write=False)
+    return [SrPair(hr=hr[i], lr=lr[i], label=int(c), seed=seed)
+            for i, (c, seed) in enumerate(zip(classes, seeds))]
 
 
 def sample_timestep_batch(rng: np.random.Generator, n: int, ratio_r: float):
@@ -313,13 +397,13 @@ def make_batch(dataset, batch_size: int, rng: np.random.Generator,
                 hr = gen_pattern(label, dataset.hr_size, dataset.hr_size, rng)
                 lr = degrade(hr, dataset.params, rng)
             if neg_pair_prob > 0 and rng.random() < neg_pair_prob:
-                hr = extra_degrade(hr, rng)
+                hr = extra_degrade(hr)
                 label = dataset.negative_id
-            hrs.append(to_signal(hr).ravel())
-            lrs.append(to_signal(lr).ravel())
+            hrs.append(hr)
+            lrs.append(lr)
             labels.append(label)
-        z1 = np.stack(hrs)
-        z_lr = np.stack(lrs)
+        z1 = to_signal(np.stack(hrs)).reshape(batch_size, -1)
+        z_lr = to_signal(np.stack(lrs)).reshape(batch_size, -1)
         labels = np.asarray(labels, dtype=np.int64)
     z0 = rng.standard_normal(z1.shape)
     t, s = sample_timestep_batch(rng, batch_size, ratio_r)

@@ -25,7 +25,7 @@ def sample_student(student, z0: np.ndarray, z_lr, c, n_steps: int) -> np.ndarray
     ``student`` is a FieldNet or a callable u(z, t, s, z_lr, c). A teacher's
     Euler sampler is the same rule with u(z, t, s) = v(z, t). Only values are
     read, so the steps run inside ``no_tape()``: a FieldNet forward records
-    no tape and gives the same bits as a taped one. This covers ``sr_infer``
+    no tape and gives the same bits as a taped one. This covers ``sr_restore``
     and ``steps_sweep``.
     """
     if n_steps < 1:
@@ -92,13 +92,25 @@ def block_upsample(lr: np.ndarray, scale: int) -> np.ndarray:
     return np.repeat(np.repeat(lr, scale, axis=0), scale, axis=1)
 
 
+def sr_restore(student, lr: np.ndarray, labels, dataset: ToySrDataset, n_steps: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Restore a stack of LR images, (m, lr_size, lr_size) -> (m, hr_size, hr_size).
+
+    One (m, z_dim) noise draw, the same stream as m draws of one row each,
+    and one sampler call conditioned on the LR images and ``labels`` (an id
+    or m ids).
+    """
+    m = len(lr)
+    z0 = rng.standard_normal((m, dataset.z_dim))
+    z_lr = to_signal(lr).reshape(m, -1)
+    z = sample_student(student, z0, z_lr, labels, n_steps)
+    return from_signal(z.reshape(m, dataset.hr_size, dataset.hr_size))
+
+
 def sr_infer(student, pair: SrPair, dataset: ToySrDataset, n_steps: int,
              rng: np.random.Generator) -> np.ndarray:
     """One SR restoration: sample from noise conditioned on the LR image."""
-    z0 = rng.standard_normal((1, dataset.z_dim))
-    z_lr = to_signal(pair.lr).ravel()[None, :]
-    z = sample_student(student, z0, z_lr, pair.label, n_steps)
-    return from_signal(z.reshape(dataset.hr_size, dataset.hr_size))
+    return sr_restore(student, pair.lr[None], pair.label, dataset, n_steps, rng)[0]
 
 
 # -- sweep report ----------------------------------------------------------------
@@ -109,7 +121,9 @@ def steps_sweep(student, dataset, n_list, seed: int, n_samples: int,
 
     Metric depends on the dataset: moment errors for the Gaussian task,
     energy distance for 2-D point clouds, PSNR over an SR pool. Values are
-    reported, never ranked.
+    reported, never ranked. Each step count draws its noise once and makes
+    one sampler call; for SR, ``sr_restore`` restores all held-out pairs
+    together.
     """
     rows = []
     for n in n_list:
@@ -128,7 +142,9 @@ def steps_sweep(student, dataset, n_list, seed: int, n_samples: int,
             if pool is None:
                 raise ValueError("SR sweeps need a held-out pair pool")
             pairs = pool[:n_samples]
-            vals = [psnr(sr_infer(student, p, dataset, n, rng), p.hr) for p in pairs]
+            out = sr_restore(student, np.stack([p.lr for p in pairs]),
+                             [p.label for p in pairs], dataset, n, rng)
+            vals = [psnr(img, p.hr) for img, p in zip(out, pairs)]
             metrics, count = {"psnr_mean": float(np.mean(vals))}, len(pairs)
         rows += [{"N": n, "metric_name": name, "value": value, "n_samples": count, "seed": seed}
                  for name, value in metrics.items()]

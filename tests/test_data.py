@@ -1,11 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
-from mflow.data import (DegradeParams, Gen2dDataset, GaussianDataset, ToySrDataset,
-                        build_sr_pool, degrade, extra_degrade,
+from mflow.data import (POOL_CHUNK, DegradeParams, Gen2dDataset, GaussianDataset,
+                        ToySrDataset, build_sr_pool, degrade, extra_degrade,
                         from_signal, gaussian_blur, gen_2d, gen_pattern, make_batch,
                         read_pgm, to_signal, write_manifest, write_pgm)
 
@@ -20,6 +22,28 @@ def checkerboard_loop(n, rng):
         i, j = cells[p]
         out[k] = (-2.0 + i + offs[k, 0], -2.0 + j + offs[k, 1])
     return out
+
+
+def reference_pair(ds, class_id, seed):
+    """(hr, lr) of one SR pair: gen_pattern, then degrade, with the pair's own generator."""
+    rng = np.random.default_rng(seed)
+    hr = gen_pattern(class_id, ds.hr_size, ds.hr_size, rng)
+    return hr, degrade(hr, ds.params, rng)
+
+
+def reference_pool(ds, n, base_seed):
+    """build_sr_pool one pair at a time: (classes, seeds, hr stack, lr stack)."""
+    classes = np.random.default_rng(base_seed).integers(0, ds.num_content, n)
+    seeds = [base_seed ^ (i + 1) for i in range(n)]
+    pairs = [reference_pair(ds, int(c), seed) for c, seed in zip(classes, seeds)]
+    return classes, seeds, np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+
+def dot_count(seed):
+    """The dot count of a class-2 pattern drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.3, 0.7, 2)
+    return int(rng.integers(2, 5))
 
 
 class TestGen2d:
@@ -106,7 +130,7 @@ class TestPatternsAndDegradation:
     def test_extra_degrade_flattens_contrast(self):
         rng = np.random.default_rng(6)
         hr = gen_pattern(1, 32, 32, rng)
-        bad = extra_degrade(hr, rng)
+        bad = extra_degrade(hr)
         assert bad.std() < hr.std()
 
     def test_params_validation(self):
@@ -142,6 +166,15 @@ class TestGaussianBlur:
         assert out.dtype == np.float64 and out.flags.writeable
         np.testing.assert_array_equal(img, before)  # the input is not written
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.4, 2.3])
+    @pytest.mark.parametrize("shape", [(5, 32, 32), (2, 3, 7, 9), (1, 1, 1)])
+    def test_stack_equals_each_image(self, shape, sigma):
+        imgs = np.random.default_rng(len(shape)).random(shape)
+        out = gaussian_blur(imgs, sigma)
+        assert out.shape == shape
+        for index in np.ndindex(shape[:-2]):
+            assert out[index].tobytes() == gaussian_blur(imgs[index], sigma).tobytes()
+
     def test_negligible_sigma_is_a_copy(self):
         img = np.random.default_rng(0).random((5, 4))
         out = gaussian_blur(img, 1e-300)
@@ -161,9 +194,9 @@ class TestDatasets:
 
     def test_make_pair_deterministic(self):
         ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
-        a, b = ds.make_pair(1, 42), ds.make_pair(1, 42)
-        np.testing.assert_array_equal(a.hr, b.hr)
-        np.testing.assert_array_equal(a.lr, b.lr)
+        a, b = reference_pair(ds, 1, 42), reference_pair(ds, 1, 42)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_build_sr_pool(self):
         ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
@@ -172,6 +205,50 @@ class TestDatasets:
         assert all(0 <= p.label < 3 for p in pool)
         pool2 = build_sr_pool(ds, 10, 99)
         np.testing.assert_array_equal(pool[3].hr, pool2[3].hr)
+
+
+class TestPoolBuild:
+    """build_sr_pool renders and degrades chunks of pairs, with the bits of one pair at a time."""
+
+    PARAMS = {"default": DegradeParams(), "no_blur": DegradeParams(blur_sigma=0.0),
+              "quantized": DegradeParams(quant_levels=4),
+              "noiseless": DegradeParams(noise_sigma=0.0), "scale2": DegradeParams(scale=2)}
+
+    @pytest.mark.parametrize("n", [1, POOL_CHUNK - 1, POOL_CHUNK, POOL_CHUNK + 1])
+    @pytest.mark.parametrize("params", list(PARAMS))
+    def test_equals_the_per_pair_reference(self, params, n):
+        ds = ToySrDataset(params=self.PARAMS[params])
+        for base in (12345, 7):
+            classes, seeds, hr, lr = reference_pool(ds, n, base)
+            pool = build_sr_pool(ds, n, base)
+            assert [p.label for p in pool] == classes.tolist()
+            assert [p.seed for p in pool] == seeds
+            assert np.stack([p.hr for p in pool]).tobytes() == hr.tobytes()
+            assert np.stack([p.lr for p in pool]).tobytes() == lr.tobytes()
+
+    def test_reference_covers_every_class_and_dot_count(self):
+        # the pools above hold every class, and class-2 patterns with 2, 3 and 4 dots
+        classes, seeds, _, _ = reference_pool(ToySrDataset(), POOL_CHUNK + 1, 12345)
+        assert set(classes.tolist()) == {0, 1, 2}
+        assert {dot_count(s) for c, s in zip(classes, seeds) if c == 2} == {2, 3, 4}
+
+    def test_pairs_are_read_only_views_of_two_stacks(self):
+        pool = build_sr_pool(ToySrDataset(), 3, 5)
+        for pair in pool:
+            for img in (pair.hr, pair.lr):
+                with pytest.raises(ValueError):
+                    img[0, 0] = 0.5
+        assert pool[0].hr.base is pool[2].hr.base is not None
+        assert pool[0].lr.base is pool[2].lr.base is not None
+
+    def test_golden_pool_digest(self):
+        # Frozen from the one-pair-at-a-time build; guards the pool's bytes.
+        digest = hashlib.sha256()
+        for pair in build_sr_pool(ToySrDataset(), 64, 12345):
+            digest.update(pair.hr.tobytes())
+            digest.update(pair.lr.tobytes())
+        assert digest.hexdigest() == ("0fcac59ba45084e818ccd9d226bc0e88"
+                                      "aeda15aa8c23934a0b9496cd1a44d30d")
 
 
 class TestMakeBatch:

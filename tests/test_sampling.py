@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from mflow.data import DegradeParams, GaussianDataset, Gen2dDataset, ToySrDataset, build_sr_pool
+from mflow.data import (DegradeParams, GaussianDataset, Gen2dDataset, ToySrDataset, build_sr_pool,
+                        from_signal, to_signal)
+from mflow.nets import FieldNet
 from mflow.oracle import AnalyticFlow, exact_avg_velocity, exact_velocity, flow_map
 from mflow.sampling import (block_upsample, energy_distance, hf_band_energy,
-                            moment_distance, psnr, sample_student, sr_infer, steps_sweep,
-                            write_sweep_csv)
+                            moment_distance, psnr, sample_student, sr_infer, sr_restore,
+                            steps_sweep, write_sweep_csv)
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +119,58 @@ class TestSweep:
 
     def test_sr_infer_shapes(self):
         ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
-        pair = ds.make_pair(0, 3)
+        pair = build_sr_pool(ds, 1, 3)[0]
         stu = lambda z, t, s, z_lr, c: np.zeros_like(z)
         out = sr_infer(stu, pair, ds, 1, np.random.default_rng(0))
         assert out.shape == (16, 16)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def seeded_sr_student(ds, seed=5):
+    """A small SR student whose every weight is random."""
+    net = FieldNet("student", ds.z_dim, ds.lr_dim, ds.num_content, cond_dim=8, time_dim=8,
+                   hidden=(32, 32), seed=seed)
+    net.flat[:] = np.random.default_rng(seed).normal(0.0, 0.2, net.flat.size)
+    return net
+
+
+class TestBatchedRestore:
+    """sr_restore restores a stack of pairs with one noise draw and one sampler call."""
+
+    ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
+
+    def test_sr_infer_keeps_its_bits(self):
+        student, pool = seeded_sr_student(self.ds), build_sr_pool(self.ds, 6, 21)
+        for n in (1, 3):
+            rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+            for pair in pool:
+                # the one-pair restore as it was written before the batched one
+                z0 = ref_rng.standard_normal((1, self.ds.z_dim))
+                z_lr = to_signal(pair.lr).ravel()[None, :]
+                z = sample_student(student, z0, z_lr, pair.label, n)
+                ref = from_signal(z.reshape(self.ds.hr_size, self.ds.hr_size))
+                assert sr_infer(student, pair, self.ds, n, rng).tobytes() == ref.tobytes()
+
+    def test_batch_matches_a_loop_over_sr_infer(self):
+        student, pool = seeded_sr_student(self.ds), build_sr_pool(self.ds, 9, 22)
+        lr, labels = np.stack([p.lr for p in pool]), [p.label for p in pool]
+        for n in (1, 2, 4):
+            rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
+            out = sr_restore(student, lr, labels, self.ds, n, rng)
+            loop = np.stack([sr_infer(student, p, self.ds, n, loop_rng) for p in pool])
+            assert out.shape == (9, 16, 16)
+            np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12)
+            assert rng.random() == loop_rng.random()  # the same noise stream consumed
+
+    def test_sweep_matches_a_loop_over_sr_infer(self, tmp_path):
+        student, pool = seeded_sr_student(self.ds), build_sr_pool(self.ds, 12, 23)
+        rows = steps_sweep(student, self.ds, [1, 2, 4], seed=4, n_samples=10, pool=pool)
+        ref = []
+        for n in (1, 2, 4):
+            rng = np.random.default_rng(4)
+            vals = [psnr(sr_infer(student, p, self.ds, n, rng), p.hr) for p in pool[:10]]
+            ref.append({"N": n, "metric_name": "psnr_mean", "value": float(np.mean(vals)),
+                        "n_samples": 10, "seed": 4})
+        write_sweep_csv(tmp_path / "batched.csv", rows)
+        write_sweep_csv(tmp_path / "loop.csv", ref)
+        assert (tmp_path / "batched.csv").read_text() == (tmp_path / "loop.csv").read_text()
