@@ -156,14 +156,20 @@ def _cmd_gen_data(args, config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_sample(args, config: RunConfig, out: Path) -> int:
+def _load_checked_student(args, config: RunConfig, out: Path):
+    """(student, dataset, held-out SR pool of ``args.n`` pairs, or None off SR)."""
     ckpt = args.ckpt or str(out / "student.ckpt")
     student = load_student(ckpt)
     dataset = config.dataset()
     check_dataset(student, dataset, ckpt)
+    pool = build_sr_pool(dataset, args.n, config.seed + 1) if config.task == "toysr" else None
+    return student, dataset, pool
+
+
+def _cmd_sample(args, config: RunConfig, out: Path) -> int:
+    student, dataset, pool = _load_checked_student(args, config, out)
     rng = np.random.default_rng(config.seed)
-    if config.task == "toysr":
-        pool = build_sr_pool(dataset, args.n, config.seed + 1)
+    if pool is not None:
         imgs = sr_restore(student, np.stack([p.lr for p in pool]), [p.label for p in pool],
                           dataset, args.steps, rng)
         for i, (img, pair) in enumerate(zip(imgs, pool)):
@@ -181,11 +187,7 @@ def _cmd_sample(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_eval(args, config: RunConfig, out: Path) -> int:
-    ckpt = args.ckpt or str(out / "student.ckpt")
-    student = load_student(ckpt)
-    dataset = config.dataset()
-    check_dataset(student, dataset, ckpt)
-    pool = build_sr_pool(dataset, args.n, config.seed + 1) if config.task == "toysr" else None
+    student, dataset, pool = _load_checked_student(args, config, out)
     rows = steps_sweep(student, dataset, args.steps, config.seed, args.n, pool=pool)
     write_sweep_csv(out / "sweep.csv", rows)
     for r in rows:

@@ -154,8 +154,8 @@ def gen_pattern(class_id: int, height: int, width: int, rng: np.random.Generator
 
 
 @lru_cache(maxsize=16)
-def _blur_plan(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taps w_0..w_r and the flat indices that pad an (h, w) image by mirroring.
+def _blur_plan(sigma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taps w_0..w_r, and the indices that pad an axis of length n by mirroring.
 
     The taps follow scipy's ``_gaussian_kernel1d`` op for op. Both results are
     read-only, since every caller with the same key shares them.
@@ -164,36 +164,32 @@ def _blur_plan(sigma: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
     taps = (phi / phi.sum())[radius:]
-
-    def mirror(n: int) -> np.ndarray:
-        # "reflect" edges: d c b a | a b c d | d c b a, repeated with period 2n
-        k = np.arange(-radius, n + radius) % (2 * n)
-        return np.where(k < n, k, 2 * n - 1 - k)
-
-    pad = (mirror(h)[:, None] * w + mirror(w)[None, :]).ravel()
+    # "reflect" edges: d c b a | a b c d | d c b a, repeated with period 2n
+    k = np.arange(-radius, n + radius) % (2 * n)
+    pad = np.where(k < n, k, 2 * n - 1 - k)
     for a in (taps, pad):
         a.setflags(write=False)
     return taps, pad
 
 
-def _correlate(x: np.ndarray, taps: np.ndarray, step: int, out: np.ndarray) -> None:
-    """out[i] = x[i + r step] w_0 + sum_j (x[i + (r-j) step] + x[i + (r+j) step]) w_j.
+def _correlate(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of ``x`` along axis 0, mirrored past its ends.
 
-    ``x`` and ``out`` are flat. The pairs are added from the farthest inwards:
-    the order of scipy's C ``correlate1d`` for a symmetric kernel, so every
-    sum rounds the same way.
+    out[i] = x[i] w_0 + sum_j (x[i - j] + x[i + j]) w_j, the pairs added from
+    the farthest inwards: the order of scipy's C ``correlate1d`` for a
+    symmetric kernel, so every sum rounds the same way.
     """
-    n, r = out.size, len(taps) - 1
-
-    def shifted(k: int) -> np.ndarray:
-        return x[k * step:k * step + n]
-
-    np.multiply(shifted(r), taps[0], out=out)
-    pair = np.empty(n)
+    n = x.shape[0]
+    taps, pad = _blur_plan(float(sigma), n)
+    r = len(taps) - 1
+    padded = x[pad]
+    out = padded[r:r + n] * taps[0]
+    pair = np.empty_like(out)
     for j in range(r, 0, -1):
-        np.add(shifted(r - j), shifted(r + j), out=pair)
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=pair)
         pair *= taps[j]
         out += pair
+    return out
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -201,28 +197,17 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     (the last two axes), bit for bit equal to
     ``scipy.ndimage.gaussian_filter(img, sigma, mode="reflect")`` per image.
 
-    The kernel is truncated at 4 sigma, radius r. The m images are laid out
-    pixel-major, (rows, columns, m), so both passes run over one flat
-    contiguous array, m images at a time. One gather pads both axes by r;
-    the pad columns are copies of image columns, so after the axis-0 pass
-    they hold the mirrored columns that the axis-1 pass reads. Along axis 1
-    the shifted slices cross the row ends, and the values computed there
-    land in the pad columns, which are dropped.
+    The kernel is truncated at 4 sigma. The m images are laid out
+    pixel-major, (rows, columns, m), so each pass blurs m images at a time:
+    one along the rows, then one along the columns of its transpose.
     """
     img = np.asarray(img, dtype=np.float64)
     if sigma <= 1e-15:  # scipy skips such an axis
         return img.copy()
     *stack, h, w = img.shape
-    taps, pad = _blur_plan(float(sigma), h, w)
-    r = len(taps) - 1
-    wide = w + 2 * r
-    pixels = img.reshape(-1, h * w).T  # (h w, m): one column per image
-    m = pixels.shape[1]
-    down = np.empty((h, wide, m))
-    _correlate(pixels[pad].ravel(), taps, wide * m, down.ravel())
-    across = np.empty((h, wide, m))
-    _correlate(down.ravel(), taps, m, across.ravel()[:(h * wide - 2 * r) * m])
-    return np.ascontiguousarray(across[:, :w].transpose(2, 0, 1)).reshape(*stack, h, w)
+    pixels = img.reshape(-1, h, w).transpose(1, 2, 0)  # (h, w, m)
+    across = _correlate(_correlate(pixels, sigma).transpose(1, 0, 2), sigma)  # (w, h, m)
+    return np.ascontiguousarray(across.transpose(2, 1, 0)).reshape(*stack, h, w)
 
 
 def _degrade_stack(hr: np.ndarray, params: DegradeParams,
@@ -256,14 +241,16 @@ def degrade(hr: np.ndarray, params: DegradeParams, rng: np.random.Generator) -> 
 
 
 def extra_degrade(hr: np.ndarray) -> np.ndarray:
-    """Mildly blurred, contrast-flattened HR; the negative label's target.
+    """Mildly blurred, contrast-flattened HR of an image or a stack of images
+    (the last two axes); the negative label's target.
 
-    Deliberately gentle: guidance extrapolates along (v_cond - v_negative)
-    scaled by w, so the negative direction must stay small for large w to
-    sharpen rather than overshoot.
+    Each image is flattened towards its own mean, so a stacked result equals
+    each image's. Deliberately gentle: guidance extrapolates along
+    (v_cond - v_negative) scaled by w, so the negative direction must stay
+    small for large w to sharpen rather than overshoot.
     """
     x = gaussian_blur(hr, 0.4)
-    return np.clip(0.97 * x + 0.03 * x.mean(), 0.0, 1.0)
+    return np.clip(0.97 * x + 0.03 * x.mean(axis=(-2, -1), keepdims=True), 0.0, 1.0)
 
 
 def to_signal(img: np.ndarray) -> np.ndarray:
@@ -387,7 +374,7 @@ def make_batch(dataset, batch_size: int, rng: np.random.Generator,
         z_lr = np.zeros((batch_size, 0))
         labels = np.zeros(batch_size, dtype=np.int64)
     else:
-        hrs, lrs, labels = [], [], []
+        hrs, lrs, labels, negative = [], [], [], []
         for _ in range(batch_size):
             if pool is not None:
                 pair = pool[int(rng.integers(0, len(pool)))]
@@ -396,15 +383,18 @@ def make_batch(dataset, batch_size: int, rng: np.random.Generator,
                 label = int(rng.integers(0, dataset.num_content))
                 hr = gen_pattern(label, dataset.hr_size, dataset.hr_size, rng)
                 lr = degrade(hr, dataset.params, rng)
-            if neg_pair_prob > 0 and rng.random() < neg_pair_prob:
-                hr = extra_degrade(hr)
-                label = dataset.negative_id
+            negative.append(neg_pair_prob > 0 and rng.random() < neg_pair_prob)
             hrs.append(hr)
             lrs.append(lr)
             labels.append(label)
-        z1 = to_signal(np.stack(hrs)).reshape(batch_size, -1)
-        z_lr = to_signal(np.stack(lrs)).reshape(batch_size, -1)
+        hr = np.stack(hrs)
         labels = np.asarray(labels, dtype=np.int64)
+        rows = np.flatnonzero(negative)
+        if rows.size:  # the negative pairs' targets, degraded in one call
+            hr[rows] = extra_degrade(hr[rows])
+            labels[rows] = dataset.negative_id
+        z1 = to_signal(hr).reshape(batch_size, -1)
+        z_lr = to_signal(np.stack(lrs)).reshape(batch_size, -1)
     z0 = rng.standard_normal(z1.shape)
     t, s = sample_timestep_batch(rng, batch_size, ratio_r)
     return FlowBatch(z0=z0, z1=z1, z_lr=z_lr, labels=labels, t=t, s=s)

@@ -213,8 +213,6 @@ class FieldNet:
         # (1, time_dim) when the batch shares one t (and s), else (B, time_dim)
         time = features(t) @ p["t_emb.W"] + p["t_emb.b"]
         if self.kind == "student":
-            if s is None:
-                raise ValueError("student forward requires the interval end s")
             time = time + (features(s) @ p["s_emb.W"] + p["s_emb.b"])
         cond = gather_rows(p["cond_table"], ids)
         rows = repeat_rows(time, z.shape[0])

@@ -171,9 +171,11 @@ class TestGaussianBlur:
     def test_stack_equals_each_image(self, shape, sigma):
         imgs = np.random.default_rng(len(shape)).random(shape)
         out = gaussian_blur(imgs, sigma)
-        assert out.shape == shape
+        negative = extra_degrade(imgs)
+        assert out.shape == negative.shape == shape
         for index in np.ndindex(shape[:-2]):
             assert out[index].tobytes() == gaussian_blur(imgs[index], sigma).tobytes()
+            assert negative[index].tobytes() == extra_degrade(imgs[index]).tobytes()
 
     def test_negligible_sigma_is_a_copy(self):
         img = np.random.default_rng(0).random((5, 4))
@@ -278,6 +280,20 @@ class TestMakeBatch:
         assert np.all(batch.z1 >= -1.0) and np.all(batch.z1 <= 1.0)
         n_neg = int(np.sum(batch.labels == ds.negative_id))
         assert 16 <= n_neg <= 48  # ~ Binomial(64, 0.5)
+
+    def test_toysr_batch_golden_digest(self):
+        # Frozen from one extra_degrade call per negative pair; guards the SR
+        # batch's bytes and draw order, from a pool and fresh.
+        ds = ToySrDataset(hr_size=16)
+        digest = hashlib.sha256()
+        for pool, seed in ((build_sr_pool(ds, 8, 5), 21), (None, 22)):
+            batch = make_batch(ds, 16, np.random.default_rng(seed), ratio_r=0.5,
+                               neg_pair_prob=0.5, pool=pool)
+            assert 0 < np.sum(batch.labels == ds.negative_id) < 16
+            for a in (batch.z1, batch.z_lr, batch.labels):
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == ("6a228337b4be197e9a91b334b68d3f66"
+                                      "b45443d76b707306d2386f3b325b5715")
 
     def test_toysr_batch_from_pool(self):
         ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
