@@ -227,8 +227,17 @@ class Tensor:
             raise ShapeError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
         shape = (a.shape[0], b.shape[1])
         tan = _dual(a, b, shape, lambda ta: ta @ b.data, lambda tb: a.data @ tb)
-        return _node(a.data @ b.data, tan, (a, b),
-                     lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
+
+        def back(g):
+            # backward drops the gradient of an operand that needs none, so form none
+            grads = []
+            if a.requires_grad or a._parents:
+                grads.append((a, g @ b.data.T))
+            if b.requires_grad or b._parents:
+                grads.append((b, a.data.T @ g))
+            return grads
+
+        return _node(a.data @ b.data, tan, (a, b), back)
 
     __matmul__ = matmul
 

@@ -151,6 +151,18 @@ class TestBackward:
         loss.backward()  # no error
         assert x.grad is None  # treated as zero downstream
 
+    @pytest.mark.parametrize("const_side", ["left", "right"])
+    def test_matmul_forms_no_gradient_for_a_constant_operand(self, const_side):
+        rng = np.random.default_rng(6)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 3)))
+        out = c @ w if const_side == "left" else w @ c
+        g = rng.normal(size=(3, 3))
+        grads = out._backward(g)
+        assert [p for p, _ in grads] == [w]
+        np.testing.assert_array_equal(grads[0][1], c.data.T @ g if const_side == "left"
+                                      else g @ c.data.T)
+
     def test_gather_rows_scatter_grad(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         out = gather_rows(table, [0, 0, 2])
