@@ -58,7 +58,12 @@ def _resolve_config(args) -> RunConfig:
     data: dict = {}
     if args.config:
         with open(args.config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                raise UsageError(f"{args.config} is not valid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise UsageError(f"{args.config} does not hold a JSON object")
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -67,6 +72,8 @@ def _resolve_config(args) -> RunConfig:
         parts = key.split(".")
         for part in parts[:-1]:
             target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise UsageError(f"--set {key}: {part!r} is not an object")
         target[parts[-1]] = _parse_value(value)
     if args.seed is not None:
         data["seed"] = args.seed

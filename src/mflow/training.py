@@ -43,7 +43,7 @@ class CheckpointError(ValueError):
 
 # Elements per pass of the Adam update. The update is memory-bound, so it
 # runs block by block: the block's slices of p, g, m, v and two scratch
-# blocks stay in cache across its 14 passes.
+# blocks stay in cache across its 12 passes.
 ADAM_BLOCK = 32768
 # Decay rates of the two moments and the denominator's offset (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
@@ -52,11 +52,16 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Standard bias-corrected Adam over one flat parameter vector.
+    """Bias-corrected Adam over one flat parameter vector, in Kingma & Ba's
+    efficient form (arXiv:1412.6980, section 2).
 
-    ``step`` updates the parameter vector in place; ``m`` and ``v`` are flat
-    vectors of the same layout, which a net's ``views`` names for the
-    checkpoint.
+    The bias corrections fold into the step size and the offset,
+    ``alpha_t = lr sqrt(1 - beta2^t) / (1 - beta1^t)`` and
+    ``eps_t = eps sqrt(1 - beta2^t)``, so the update is
+    ``p -= alpha_t m / (sqrt(v) + eps_t)``: Algorithm 1 in exact arithmetic,
+    with two passes fewer. ``step`` updates the parameter vector in place;
+    ``m`` and ``v`` are flat vectors of the same layout, which a net's
+    ``views`` names for the checkpoint.
     """
 
     def __init__(self, size: int, lr: float = 1e-3):
@@ -67,30 +72,36 @@ class Adam:
         self._a = np.empty(min(size, ADAM_BLOCK))
         self._b = np.empty(min(size, ADAM_BLOCK))
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """One update of ``params`` in place; ``grad`` must be finite (the clip checks)."""
+    def step(self, params: np.ndarray, grad: np.ndarray, scale: float = 1.0) -> None:
+        """One update of ``params`` in place for the gradient ``scale * grad``.
+
+        ``grad`` must be finite (the clip checks) and is only read: the clip's
+        ``scale`` enters through the moments' constants, ``(1 - beta1) scale``
+        and ``(1 - beta2) scale^2``.
+        """
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - ADAM_BETA1 ** t
-        bc2 = 1.0 - ADAM_BETA2 ** t
+        root_bc2 = math.sqrt(1.0 - ADAM_BETA2 ** t)
+        alpha = self.lr * root_bc2 / (1.0 - ADAM_BETA1 ** t)
+        eps = ADAM_EPS * root_bc2
+        c1 = (1.0 - ADAM_BETA1) * scale
+        c2 = (1.0 - ADAM_BETA2) * (scale * scale)
         for start in range(0, params.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
             p, g, m, v = params[block], grad[block], self.m[block], self.v[block]
             a, b = self._a[:p.size], self._b[:p.size]
-            # m <- beta1*m + (1-beta1)*g; v <- beta2*v + (1-beta2)*g*g
+            # m <- beta1*m + c1*g; v <- beta2*v + c2*g*g
             np.multiply(m, ADAM_BETA1, out=m)
-            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            np.multiply(g, c1, out=a)
             np.add(m, a, out=m)
             np.multiply(v, ADAM_BETA2, out=v)
-            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            np.multiply(g, c2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
-            # p <- p - lr*(m/bc1) / (sqrt(v/bc2) + eps), staged through the buffers
-            np.divide(m, bc1, out=a)
-            np.multiply(a, self.lr, out=a)
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, ADAM_EPS, out=b)
+            # p <- p - alpha*m / (sqrt(v) + eps), staged through the buffers
+            np.sqrt(v, out=b)
+            np.add(b, eps, out=b)
+            np.multiply(m, alpha, out=a)
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
 
@@ -108,23 +119,24 @@ class Adam:
 
 
 def clip_gradients(flat: np.ndarray, grads: Mapping[str, np.ndarray],
-                   max_norm: float) -> tuple[float, bool]:
-    """Global-norm clip of ``flat`` in place; returns (pre-clip norm, was clipped).
+                   max_norm: float) -> tuple[float, float]:
+    """Global-norm clip of ``flat``; returns (pre-clip norm, scale).
 
-    ``grads`` names the slices of ``flat`` in layout order, which fixes the
-    summation order of the norm. A non-finite norm raises NumericalAbort
-    before anything is scaled.
+    The norm is one dot product over ``flat``. ``scale`` is
+    ``max_norm / norm`` when the norm exceeds a positive ``max_norm`` and 1.0
+    otherwise; ``flat`` is not written, as Adam applies the scale. A
+    non-finite norm raises NumericalAbort, naming the first parameter of
+    ``grads`` (the named slices of ``flat``) that holds a non-finite value.
     """
     with np.errstate(over="ignore"):  # an overflow is reported below, as an abort
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if not np.isfinite(total):
+        total = math.sqrt(float(flat @ flat))
+    if not math.isfinite(total):
         bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
         raise NumericalAbort(f"non-finite gradient in parameter {bad!r}" if bad else
                              "the squared gradient norm overflows")
     if max_norm > 0 and total > max_norm:
-        np.multiply(flat, max_norm / total, out=flat)
-        return total, True
-    return total, False
+        return total, max_norm / total
+    return total, 1.0
 
 
 # -- checkpoint container --------------------------------------------------------
@@ -507,8 +519,8 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
             if not np.isfinite(loss.item()):
                 raise NumericalAbort(f"non-finite {role} loss at step {step}")
             _backward_into(loss, params, grads)
-            norm, _ = clip_gradients(grad, grads, config.grad_clip)
-            adam.step(net.flat, grad)
+            norm, scale = clip_gradients(grad, grads, config.grad_clip)
+            adam.step(net.flat, grad, scale)
             if step % config.log_every == 0 or step == config.steps - 1:
                 log.row(step, loss.item(), norm, (time.perf_counter() - t0) * 1e3)
             if config.ckpt_every and (step + 1) % config.ckpt_every == 0:

@@ -113,6 +113,23 @@ class TestParsingAndErrors:
         assert field in err.split(":", 1)[1]
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize("config_text, sets", [
+        ('{"task": "gaussian",', []),
+        (None, ["steps=3", "steps.x=1"]),
+        ("[1, 2]", ["steps=3"]),
+    ], ids=["malformed-json", "set-inside-a-number", "top-level-array"])
+    def test_unusable_config_is_one_usage_line(self, config_text, sets, tmp_path, capsys):
+        argv = ["train-teacher", "--out", str(tmp_path / "run")]
+        if config_text is not None:
+            (tmp_path / "c.json").write_text(config_text)
+            argv += ["--config", str(tmp_path / "c.json")]
+        for item in sets:
+            argv += ["--set", item]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not (tmp_path / "run" / "config.json").exists()
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert run(["train-teacher", "--config", str(tmp_path / "none.json"),
                     "--out", str(tmp_path)]) == 3

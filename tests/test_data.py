@@ -295,6 +295,19 @@ class TestMakeBatch:
         assert digest.hexdigest() == ("6a228337b4be197e9a91b334b68d3f66"
                                       "b45443d76b707306d2386f3b325b5715")
 
+    def test_toysr_distill_batch_golden_digest(self):
+        # Frozen from a pool batch at neg_pair_prob 0, as every SR distill batch
+        # is: no negative-pair draw may enter the RNG stream.
+        ds = ToySrDataset(hr_size=16)
+        batch = make_batch(ds, 16, np.random.default_rng(23), ratio_r=0.5,
+                           pool=build_sr_pool(ds, 8, 5))
+        assert not np.any(batch.labels == ds.negative_id)
+        digest = hashlib.sha256()
+        for a in (batch.z1, batch.z_lr, batch.labels):
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == ("0da87f4a1f036be9ad93aa77106653a0"
+                                      "0aaff4246fb74dad2460b4d8ca21cc49")
+
     def test_toysr_batch_from_pool(self):
         ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
         pool = build_sr_pool(ds, 3, 5)

@@ -1,3 +1,4 @@
+import math
 import re
 from functools import partial
 
@@ -37,21 +38,26 @@ def named_views(flat, shapes):
 
 
 class ReferenceAdam:
-    """The dict-based Adam the flat one replaced, kept as the reference."""
+    """Dict-based Adam, one parameter at a time, kept as the reference: the
+    efficient form with the clip scale in the moments' constants, op for op
+    as the flat one."""
 
     def __init__(self, lr):
         self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8
         self.step_count = 0
         self.m, self.v, self._buf_a, self._buf_b = {}, {}, {}, {}
 
-    def step(self, params, grads):
+    def step(self, params, grads, scale=1.0):
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
                 raise NumericalAbort(f"non-finite gradient in parameter {name!r}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        root_bc2 = math.sqrt(1.0 - self.beta2 ** t)
+        alpha = self.lr * root_bc2 / (1.0 - self.beta1 ** t)
+        eps = self.eps * root_bc2
+        c1 = (1.0 - self.beta1) * scale
+        c2 = (1.0 - self.beta2) * (scale * scale)
         out = {}
         for name, p in params.items():
             g = grads.get(name)
@@ -62,17 +68,15 @@ class ReferenceAdam:
             a = self._buf_a.setdefault(name, np.empty(p.shape))
             b = self._buf_b.setdefault(name, np.empty(p.shape))
             np.multiply(m, self.beta1, out=m)
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.multiply(g, c1, out=a)
             np.add(m, a, out=m)
             np.multiply(v, self.beta2, out=v)
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(g, c2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
-            np.divide(m, bc1, out=a)
-            np.multiply(a, self.lr, out=a)
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, self.eps, out=b)
+            np.sqrt(v, out=b)
+            np.add(b, eps, out=b)
+            np.multiply(m, alpha, out=a)
             np.divide(a, b, out=a)
             out[name] = Tensor(p.data - a, requires_grad=True)
         return out
@@ -86,14 +90,27 @@ class ReferenceAdam:
 
 
 def reference_clip(grads, max_norm):
-    """The dict-based clip the flat one replaced, kept as the reference."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    """Dict-based clip, kept as the reference: the norm is one dot product over
+    the gradients laid end to end in order; returns (norm, scale) and leaves
+    ``grads`` as they are."""
+    flat = np.concatenate([g.ravel() for g in grads.values()])
+    total = math.sqrt(float(flat @ flat))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * scale
-        return total, True
-    return total, False
+        return total, max_norm / total
+    return total, 1.0
+
+
+def textbook_adam(p, grads, lr):
+    """Kingma & Ba's Algorithm 1 as written: bias-corrected moments, then the step."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p, m, v
 
 
 class TestAdam:
@@ -111,6 +128,34 @@ class TestAdam:
         for _ in range(500):
             adam.step(p, 2.0 * p)
         np.testing.assert_allclose(p, 0.0, atol=1e-3)
+
+    def test_two_hundred_steps_match_textbook_algorithm_1(self):
+        # the efficient form equals Algorithm 1 in exact arithmetic; the moments
+        # take the same ops, only the step's rounding differs
+        rng = np.random.default_rng(3)
+        p0 = rng.choice([-1.0, 1.0], size=64) * rng.uniform(1.0, 2.0, size=64)
+        # gradient scales from 1e-6, where eps weighs in, to 10
+        grads = [rng.normal(size=64) * 10.0 ** rng.uniform(-6, 1, size=64)
+                 for _ in range(200)]
+        adam, p = Adam(64, lr=1e-3), p0.copy()
+        for g in grads:
+            adam.step(p, g)
+        want_p, want_m, want_v = textbook_adam(p0, grads, 1e-3)
+        np.testing.assert_allclose(p, want_p, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(adam.m, want_m)
+        np.testing.assert_array_equal(adam.v, want_v)
+
+    def test_scale_argument_matches_a_scaled_gradient(self):
+        rng = np.random.default_rng(4)
+        p0 = rng.choice([-1.0, 1.0], size=64) * rng.uniform(1.0, 2.0, size=64)
+        folded, scaled = Adam(64, lr=1e-3), Adam(64, lr=1e-3)
+        a, b = p0.copy(), p0.copy()
+        for _ in range(200):
+            g, s = rng.normal(size=64), rng.uniform(0.05, 1.0)
+            folded.step(a, g, s)
+            scaled.step(b, s * g)
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(folded.v, scaled.v, rtol=1e-12, atol=0)
 
     def test_rejects_nonfinite_gradient(self):
         # the clip's norm is the finiteness check; it aborts before Adam moves anything
@@ -188,11 +233,11 @@ class TestFlatMatchesReference:
             drawn = {name: rng.normal(scale=0.05 * (step % 4 + 1), size=shape)
                      for name, shape in layout.items()}
             copy_into(grads, drawn)
-            result = clip_gradients(grad, grads, max_norm)
-            assert result == reference_clip(drawn, max_norm)
-            clipped.append(result[1])
-            adam.step(params, grad)
-            ref_params = ref.step(ref_params, drawn)
+            norm, scale = clip_gradients(grad, grads, max_norm)
+            assert (norm, scale) == reference_clip(drawn, max_norm)
+            clipped.append(scale < 1.0)
+            adam.step(params, grad, scale)
+            ref_params = ref.step(ref_params, drawn, scale)
         assert any(clipped) == clip
         assert not all(clipped)
         for name, view in named_views(params, layout).items():
@@ -204,20 +249,18 @@ class TestFlatMatchesReference:
 class TestClip:
     def test_noop_under_limit(self):
         g = np.array([3.0, 4.0])
-        norm, clipped = clip_gradients(g, {"a": g}, 10.0)
-        assert norm == 5.0 and not clipped
+        assert clip_gradients(g, {"a": g}, 10.0) == (5.0, 1.0)
         np.testing.assert_array_equal(g, [3.0, 4.0])
 
     def test_scales_to_max_norm(self):
         g = np.array([3.0, 4.0, 12.0])
-        norm, clipped = clip_gradients(g, {"a": g[:2], "b": g[2:]}, 1.0)
-        assert norm == 13.0 and clipped
-        assert np.sqrt(np.sum(g * g)) == pytest.approx(1.0)
+        norm, scale = clip_gradients(g, {"a": g[:2], "b": g[2:]}, 1.0)
+        assert norm == 13.0 and scale == 1.0 / 13.0
+        np.testing.assert_array_equal(g, [3.0, 4.0, 12.0])  # Adam applies the scale
 
     def test_disabled_when_nonpositive(self):
         g = np.array([100.0])
-        _, clipped = clip_gradients(g, {"a": g}, 0.0)
-        assert not clipped
+        assert clip_gradients(g, {"a": g}, 0.0) == (100.0, 1.0)
         assert g[0] == 100.0
 
 
@@ -448,8 +491,9 @@ class TestTrainingLoops:
             loss.backward()
             grads = {name: p.grad if p.grad is not None else np.zeros(p.shape)
                      for name, p in net.parameters().items()}
-            clipped.append(reference_clip(grads, cfg.grad_clip)[1])
-            for name, p in adam.step(net.parameters(), grads).items():
+            _, scale = reference_clip(grads, cfg.grad_clip)
+            clipped.append(scale < 1.0)
+            for name, p in adam.step(net.parameters(), grads, scale).items():
                 net.set_parameter(name, p)
         assert any(clipped) and not all(clipped)
         expected = {name: p.data for name, p in net.parameters().items()}
