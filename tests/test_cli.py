@@ -92,6 +92,18 @@ class TestParsingAndErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("settings, message", [
+        (["task=toysr", "train_pool=-3"], "train_pool must be >= 0"),
+        (["task=gaussian", "train_pool=5"], "train_pool needs task toysr"),
+    ], ids=["negative", "not_toysr"])
+    def test_train_pool_is_refused(self, settings, message, tmp_path, capsys):
+        argv = ["train-teacher", "--out", str(tmp_path)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+
     @pytest.mark.parametrize("setting, field", [
         ("cfg=5", "cfg"),
         ("cfg.bogus=1", "cfg"),

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import weakref
 from functools import partial
 
 import numpy as np
@@ -7,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflow import nets
+from mflow import nets, training
 from mflow.data import make_batch
 from mflow.flow import CfgConfig, LossConfig, rf_loss
 from mflow.nets import copy_into, init_student_from_teacher, teacher_forward
 from mflow.tensor import Tensor
 from mflow.training import (ADAM_BLOCK, Adam, CheckpointError, NumericalAbort, RunConfig,
-                            _load_net, _lr_at, clip_gradients, distill_student, load_checkpoint,
-                            load_student, load_teacher, params_digest, save_checkpoint,
-                            train_teacher)
+                            _load_net, _lr_at, _sr_train_pool, clip_gradients, distill_student,
+                            load_checkpoint, load_student, load_teacher, params_digest,
+                            save_checkpoint, train_teacher)
 
 
 def tiny_config(**kw):
@@ -308,6 +310,20 @@ class TestCheckpointContainer:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
+    @pytest.mark.parametrize("arr, sha256", [
+        (np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3),
+         "2e9f8cccb41c61e7c20bccf9affa16bf5acd15c5c2f12f580b6ff173446ff17b"),
+        ((np.arange(12.0).reshape(3, 4) / 7.0).T,
+         "3511a39c5ae1ce7215b73e3067bb9ed9759c16e70d35bbc522f1be33764daf6b"),
+        (np.array([np.pi]),
+         "6ec8c8710df1afc8f89be5018adb2d07a4507a4149bc4c6c50ad44882c202d74"),
+    ], ids=["float32", "transposed", "one_element"])
+    def test_file_bytes_are_pinned(self, tmp_path, arr, sha256):
+        # the sha256 of the files that the writer made before it wrote
+        # tensors without a copy: the format did not move
+        save_checkpoint(tmp_path / "c.ckpt", {"w": arr}, {"role": "test"})
+        assert hashlib.sha256((tmp_path / "c.ckpt").read_bytes()).hexdigest() == sha256
+
     def test_params_digest_orders_and_discriminates(self):
         a = {"x": Tensor(np.ones(2)), "y": Tensor(np.zeros(2))}
         b = dict(reversed(list(a.items())))
@@ -559,6 +575,73 @@ class TestTrainingLoops:
         bad = tiny_config(steps=5, task="toysr", hr_size=16, sr_scale=4)
         with pytest.raises(CheckpointError, match="does not match"):
             distill_student(bad, t_path, tmp_path / "s")
+
+
+def tiny_sr_config(**kw):
+    return tiny_config(**{"task": "toysr", "hr_size": 8, "sr_scale": 2, "train_pool": 6,
+                          "steps": 2, **kw})
+
+
+class TestSrTrainPool:
+    """The one SR training pool a process keeps, reused while its key holds."""
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        """Start from an empty slot; returns the keys of the pools built."""
+        training._train_pool_slot.clear()
+        seen, real = [], training.build_sr_pool
+
+        def counted(dataset, n, base_seed):
+            seen.append((dataset, n, base_seed))
+            return real(dataset, n, base_seed)
+
+        monkeypatch.setattr(training, "build_sr_pool", counted)
+        return seen
+
+    def test_distill_reuses_the_teacher_pool(self, tmp_path, builds):
+        cfg = tiny_sr_config()
+        t_path = train_teacher(cfg, tmp_path / "t")
+        distill_student(cfg, t_path, tmp_path / "s")
+        assert builds == [(cfg.dataset(), 6, cfg.seed + 100003)]
+
+    def test_other_tasks_keep_no_pool(self, builds):
+        cfg = tiny_config()
+        assert _sr_train_pool(cfg, cfg.dataset()) is None
+        assert builds == [] and training._train_pool_slot == {}
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 2}, {"train_pool": 7}, {"hr_size": 12}, {"num_content": 2},
+        {"blur_sigma": 0.5}, {"sr_scale": 4}, {"noise_sigma": 0.03}, {"quant_levels": 8},
+    ], ids=lambda change: next(iter(change)))
+    def test_any_key_change_rebuilds(self, builds, change):
+        for cfg in (tiny_sr_config(), tiny_sr_config(), tiny_sr_config(**change)):
+            pool = _sr_train_pool(cfg, cfg.dataset())
+            assert len(pool) == cfg.train_pool
+        assert len(builds) == 2 and builds[0] != builds[1]
+
+    def test_old_pool_is_freed_before_the_new_build(self, builds, monkeypatch):
+        cfg = tiny_sr_config()
+        stack = weakref.ref(_sr_train_pool(cfg, cfg.dataset())[0].hr.base)
+        assert stack() is not None
+        counted = training.build_sr_pool
+
+        def after_the_old_pool(*args):
+            assert stack() is None
+            return counted(*args)
+
+        monkeypatch.setattr(training, "build_sr_pool", after_the_old_pool)
+        other = tiny_sr_config(seed=2)
+        _sr_train_pool(other, other.dataset())
+        assert len(builds) == 2
+
+    def test_student_from_a_kept_pool_has_the_same_bytes(self, tmp_path, builds):
+        t_path = train_teacher(tiny_sr_config(), tmp_path / "t")
+        cfg = tiny_sr_config(seed=5)
+        training._train_pool_slot.clear()
+        fresh = distill_student(cfg, t_path, tmp_path / "fresh")
+        kept = distill_student(cfg, t_path, tmp_path / "kept")
+        assert len(builds) == 2  # the teacher's pool, then one for seed 5
+        assert fresh.read_bytes() == kept.read_bytes()
 
 
 class TestResumeRefusal:
