@@ -644,6 +644,19 @@ class TestSrTrainPool:
         assert fresh.read_bytes() == kept.read_bytes()
 
 
+def test_sr_student_bytes_are_pinned(tmp_path):
+    # a tiny toysr teacher, then a teacher_neg distill at w = 2, so the pin
+    # covers SR batches, the pool, the teacher's guided calls and the JVP.
+    # With the clip off, the bytes are the same at 1 and 2 BLAS threads; a
+    # clip that triggers rounds its threaded norm differently.
+    cfg = RunConfig(task="toysr", seed=1, steps=20, batch_size=8, hr_size=16, hidden=[32, 32],
+                    time_dim=8, cond_dim=4, train_pool=16, neg_pair_prob=0.25, grad_clip=0.0,
+                    log_every=5, cfg=CfgConfig(mode="teacher_neg", w=2.0))
+    student = distill_student(cfg, train_teacher(cfg, tmp_path / "t"), tmp_path / "s")
+    assert hashlib.sha256(student.read_bytes()).hexdigest() == (
+        "f336b21125a7d6112601e3f630e2cf1fa24a5e59635f57769e08d3349d027c15")
+
+
 class TestResumeRefusal:
     """A teacher resume that cannot continue the run bit-exactly is refused."""
 
