@@ -412,6 +412,11 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """A [0, 1] image from a binary PGM of one byte per pixel, as ``write_pgm`` writes.
+
+    Raises ValueError, naming the file, for another format, a maxval outside
+    1..255 (two bytes per pixel) or a pixel block that is not w * h bytes.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
@@ -419,8 +424,12 @@ def read_pgm(path) -> np.ndarray:
         dims = fh.readline().split()
         maxval = int(fh.readline())
         w, h = int(dims[0]), int(dims[1])
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    return data.reshape(h, w).astype(np.float64) / maxval
+        pixels = fh.read()
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"PGM maxval {maxval} is not in 1..255: {path}")
+    if len(pixels) != w * h:
+        raise ValueError(f"PGM pixel block has {len(pixels)} bytes, expected {w} * {h}: {path}")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).astype(np.float64) / maxval
 
 
 def write_manifest(path, pairs: list[SrPair], params: DegradeParams) -> None:

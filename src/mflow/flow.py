@@ -98,7 +98,7 @@ def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
     Returns a plain array: the result always feeds the stop-gradded target,
     so nothing here participates in parameter gradients. The net calls (the
     teacher's two, or ``original_mf``'s two student calls at s = t) therefore
-    run inside ``no_tape()``: same values, no tape.
+    run inside ``no_tape()``, on plain arrays: same values, no Tensor per op.
     """
     if cfg.mode == "gt":
         if z0 is None or z1 is None:

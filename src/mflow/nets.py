@@ -4,9 +4,10 @@ Both are MLPs over the concatenation [z, flattened-LR features, condition
 embedding, time embedding]. Every weight lives in ``FieldNet.flat``, one
 contiguous float64 vector; ``FieldNet.params`` names its slices by the
 checkpoint names ("cond_table", "t_emb.W", "layer0.b", ...), each a Tensor
-whose ``.data`` is a reshaped view into the vector. ``FieldNet.views`` names
-the slices of any vector of that length the same way, so gradients and
-optimizer moments share the layout without knowing it. The student adds a
+whose ``.data`` is a reshaped view into the vector; ``FieldNet.arrays``
+holds those views themselves. ``FieldNet.views`` names the slices of any
+vector of that length the same way, so gradients and optimizer moments
+share the layout without knowing it. The student adds a
 projection of the interval end s ("s_emb.W", "s_emb.b") whose output is
 added to the t-embedding. ``init_student_from_teacher`` zeroes it and
 embeds time at ``c_noise = 1``, so a fresh student equals its teacher's
@@ -19,6 +20,10 @@ that is repeated only where it enters the trunk. Training, which draws
 per-row times, is bit-identical either way; a shared-time forward may differ
 from the per-row one by a few ulps, since a one-row matmul replaces B
 identical rows.
+
+A forward that needs values only, inside ``tensor.no_tape()``, runs the same
+``_forward`` body on plain arrays (the inputs and ``FieldNet.arrays``), so no
+op builds a Tensor; its bits are those of a taped forward's ``.data``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .tensor import Tensor, concat, gather_rows, repeat_rows, sincos
+from .tensor import Tensor, concat, gather_rows, repeat_rows, silu, sincos, taping
 
 # Highest time frequency, in cycles per unit of ``c_noise * t``.
 MAX_FREQ = 32.0
@@ -53,17 +58,18 @@ class TimeEmbedder:
         exponents = np.arange(half) / max(half - 1, 1)
         self.freqs = 2.0 * np.pi * MAX_FREQ ** exponents  # (half,)
 
-    def raw_features(self, t: Tensor) -> Tensor:
-        """Sin/cos features of shape (B, dim) for t of shape (B, 1)."""
-        return sincos(t * Tensor(self.c_noise * self.freqs[None, :]))
+    def raw_features(self, t):
+        """Sin/cos features of shape (B, dim) for t of shape (B, 1), a Tensor or an array."""
+        return sincos(t * (self.c_noise * self.freqs[None, :]))
 
 
 class FieldNet:
     """MLP velocity field; ``kind`` selects teacher (v) or student (u) form.
 
-    The weights are one flat vector, ``flat``, in ``_layout()`` order, and
-    ``params`` holds a view of it per weight. Writing to a view (as
-    ``set_parameter`` and the optimizer do) changes the net in place.
+    The weights are one flat vector, ``flat``, in ``_layout()`` order;
+    ``arrays`` holds a view of it per weight, and ``params`` a Tensor around
+    each view. Writing to a view (as ``set_parameter`` and the optimizer do)
+    changes the net in place.
     """
 
     def __init__(self, kind: str, z_dim: int, lr_dim: int, num_content: int,
@@ -90,8 +96,9 @@ class FieldNet:
         # one feature map serves t and s: a net has a single c_noise
         self.time_embedder = TimeEmbedder(time_dim, c_noise=c_noise)
         self.flat = np.zeros(sum(math.prod(shape) for shape in self._layout().values()))
+        self.arrays = self.views(self.flat)
         self.params: dict[str, Tensor] = {name: Tensor(w, requires_grad=True)
-                                          for name, w in self.views(self.flat).items()}
+                                          for name, w in self.arrays.items()}
 
     def _layout(self) -> dict[str, tuple[int, ...]]:
         """Shape of every weight, in checkpoint order.
@@ -136,7 +143,7 @@ class FieldNet:
 
     def _draw(self) -> None:
         """Fresh weights from ``seed``; biases, gate and LR skip stay zero."""
-        w = {name: p.data for name, p in self.params.items()}
+        w = self.arrays
         # a seed's weights depend on the draw order: t-emb, s-emb, cond table, trunk
         rng = np.random.default_rng(self.seed)
         emb_scale = 1.0 / np.sqrt(self.time_dim)
@@ -162,7 +169,7 @@ class FieldNet:
         """
         net = cls.__new__(cls)
         net._configure(**config)
-        copy_into({name: p.data for name, p in net.params.items()}, arrays)
+        copy_into(net.arrays, arrays)
         return net
 
     # -- labels ---------------------------------------------------------------
@@ -206,9 +213,12 @@ class FieldNet:
 
     # -- forward ---------------------------------------------------------------
 
-    def _forward(self, z: Tensor, t: Tensor, z_lr: Tensor, ids: np.ndarray,
-                 s: Tensor | None) -> Tensor:
-        p = self.params
+    def _forward(self, p: Mapping, z, t, z_lr, ids: np.ndarray, s):
+        """The field from the weights ``p`` and inputs of one kind.
+
+        Tensors with ``p = params`` on the tape; plain arrays with
+        ``p = arrays`` for values only. t and s are (1, 1) or (B, 1) columns.
+        """
         features = self.time_embedder.raw_features
         # (1, time_dim) when the batch shares one t (and s), else (B, time_dim)
         time = features(t) @ p["t_emb.W"] + p["t_emb.b"]
@@ -220,7 +230,7 @@ class FieldNet:
         x = concat(parts, axis=1)
         last = len(self.hidden)
         for i in range(last):
-            x = (x @ p[f"layer{i}.W"] + p[f"layer{i}.b"]).silu()
+            x = silu(x @ p[f"layer{i}.W"] + p[f"layer{i}.b"])
         out = x @ p[f"layer{last}.W"] + p[f"layer{last}.b"]
         out = out + (time @ p["gate.W"] + p["gate.b"]) * z
         if self.lr_dim > 0:
@@ -243,13 +253,12 @@ def copy_into(views: Mapping[str, np.ndarray], arrays: Mapping[str, np.ndarray])
         view[...] = arrays[name]
 
 
-def _as_column(x) -> Tensor:
-    """Lift a time to a (B, 1) column, preserving any tangent.
+def _as_column(t):
+    """A time as a (B, 1) column, preserving any tangent.
 
     A scalar (shape () or (1,)) shared by the whole batch stays one (1, 1)
     row, so the forward embeds it once.
     """
-    t = Tensor._lift(x)
     if t.shape == () or t.shape == (1,):
         return t.reshape(1, 1)
     if len(t.shape) == 1:
@@ -257,25 +266,42 @@ def _as_column(x) -> Tensor:
     return t
 
 
+def _array(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+def _call(net: FieldNet, z, t, s, z_lr, c) -> Tensor:
+    """Run ``net._forward``: on Tensors on the tape, on plain arrays inside ``no_tape()``.
+
+    Off the tape the inputs are float64 arrays, the weights ``net.arrays``,
+    and the result is wrapped in one value-only Tensor.
+    """
+    taped = taping()
+    lift = Tensor._lift if taped else _array
+    z = lift(z)
+    t = _as_column(lift(t))
+    if s is not None:
+        s = _as_column(lift(s))
+        s_value, t_value = (s.data, t.data) if taped else (s, t)
+        if np.any(s_value < t_value - 1e-12):
+            raise ValueError("student_forward requires s >= t (the sampler only moves forward)")
+    ids = net.label_ids(c, z.shape[0])
+    out = net._forward(net.params if taped else net.arrays, z, t, lift(z_lr), ids, s)
+    return out if taped else Tensor(out)
+
+
 def teacher_forward(net: FieldNet, z, t, z_lr, c) -> Tensor:
     """Instantaneous velocity v(z, t | z_lr, c); output shape equals z."""
     if net.kind != "teacher":
         raise ValueError("teacher_forward called on a non-teacher net")
-    z = Tensor._lift(z)
-    return net._forward(z, _as_column(t), Tensor._lift(z_lr),
-                        net.label_ids(c, z.shape[0]), None)
+    return _call(net, z, t, None, z_lr, c)
 
 
 def student_forward(net: FieldNet, z, t, s, z_lr, c) -> Tensor:
     """Average velocity u(z, t, s | z_lr, c) over [t, s]; requires s >= t."""
     if net.kind != "student":
         raise ValueError("student_forward called on a non-student net")
-    z = Tensor._lift(z)
-    tt = _as_column(t)
-    ss = _as_column(s)
-    if np.any(ss.data < tt.data - 1e-12):
-        raise ValueError("student_forward requires s >= t (the sampler only moves forward)")
-    return net._forward(z, tt, Tensor._lift(z_lr), net.label_ids(c, z.shape[0]), ss)
+    return _call(net, z, t, s, z_lr, c)
 
 
 def init_student_from_teacher(teacher: FieldNet) -> FieldNet:
@@ -289,7 +315,7 @@ def init_student_from_teacher(teacher: FieldNet) -> FieldNet:
     """
     if teacher.kind != "teacher":
         raise ValueError("init_student_from_teacher needs a teacher net")
-    arrays = {name: p.data for name, p in teacher.params.items()}
+    arrays = dict(teacher.arrays)
     d = teacher.time_dim
     arrays["s_emb.W"] = np.zeros((d, d))
     arrays["s_emb.b"] = np.zeros((1, d))

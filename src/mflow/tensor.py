@@ -11,10 +11,14 @@ differentiating a loss never differentiates through a tangent.
 
 Every op builds its result through ``_node``, which records parents and a
 backward closure only when an operand needs a gradient: an op on constants
-is a constant. Inside ``with no_tape():`` nothing is recorded at all and
-each result is a value-only Tensor (no parents, no tangent), computed by the
-same numpy expression as on the tape, so the values are bit-identical.
-Shape and index checks still raise there.
+is a constant.
+
+Value-only work needs no Tensor at all. ``concat``, ``sincos``, ``silu``,
+``repeat_rows`` and ``gather_rows`` also take plain arrays and then return
+one, computed by the same numpy expression as their Tensor rule, with the
+same shape and index checks; ``+ - * @`` on arrays are numpy's own. Inside
+``with no_tape():`` the nets run their forward that way (see ``nets.py``),
+so the values are bit-identical to a taped forward's ``.data``.
 """
 
 from __future__ import annotations
@@ -24,17 +28,18 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-# False inside ``no_tape()``; read by ``_node`` at every op, and by ``silu``.
+# False inside ``no_tape()``; read through ``taping()`` and by ``jvp``.
 _tape = True
 
 
 @contextmanager
 def no_tape() -> Iterator[None]:
-    """Run ops without recording a tape; restores the previous state on exit.
+    """Mark a block whose net calls need values only; restores the state on exit.
 
-    Results are value-only Tensors: they cannot be differentiated and carry
-    no tangent. Blocks nest, and the state is restored after an exception.
-    The switch is one flag for the whole process, not one per thread.
+    Inside it, ``nets.teacher_forward`` and ``nets.student_forward`` run on
+    plain arrays and return a value-only Tensor, and ``jvp`` refuses to run.
+    Blocks nest, and the state is restored after an exception. The switch is
+    one flag for the whole process, not one per thread.
     """
     global _tape
     previous, _tape = _tape, False
@@ -42,6 +47,11 @@ def no_tape() -> Iterator[None]:
         yield
     finally:
         _tape = previous
+
+
+def taping() -> bool:
+    """False inside ``no_tape()``."""
+    return _tape
 
 
 class ShapeError(ValueError):
@@ -191,34 +201,6 @@ class Tensor:
     def sqrt(self):
         return self ** 0.5
 
-    def silu(self):
-        """x * sigmoid(x); smooth, with analytic derivative.
-
-        The slope is computed only when a tangent or a backward pass uses it.
-        sigmoid and the slope are built in place from the operands of
-        ``1 / (1 + exp(-x))`` and ``sig * (1 + x * (1 - sig))``; IEEE ``+``
-        and ``*`` commute, so the bits are those of the two expressions.
-        """
-        a = self
-        sig = np.negative(a.data, out=np.empty(a.shape))
-        np.exp(sig, out=sig)
-        sig += 1.0
-        np.divide(1.0, sig, out=sig)
-        if not _tape:  # nothing reads the slope, so the value takes sig's buffer
-            return Tensor(np.multiply(a.data, sig, out=sig))
-
-        def slope():
-            out = np.subtract(1.0, sig)
-            out *= a.data
-            out += 1.0
-            out *= sig
-            return out
-
-        local = None if a.tangent is None else slope()
-        tan = None if local is None else local * a.tangent
-        return _node(a.data * sig, tan, (a,),
-                     lambda g: ((a, g * (slope() if local is None else local)),))
-
     # -- linear algebra / structure -------------------------------------------
 
     def matmul(self, other):
@@ -276,12 +258,10 @@ class Tensor:
 def _node(value, tangent, parents: tuple, backward: Callable) -> Tensor:
     """The result of an op.
 
-    It records ``parents`` and ``backward`` only when the tape is on and some
-    operand requires grad or has parents itself; an op on constants is a
-    constant that keeps its tangent. Inside ``no_tape()`` it is value-only.
+    It records ``parents`` and ``backward`` only when some operand requires
+    grad or has parents itself; an op on constants is a constant that keeps
+    its tangent.
     """
-    if not _tape:
-        return Tensor(value)
     for p in parents:
         if p.requires_grad or p._parents:
             return Tensor(value, tangent=tangent, _parents=parents, _backward=backward)
@@ -309,14 +289,48 @@ def _dual(a: Tensor, b: Tensor, shape: tuple, left, right) -> np.ndarray | None:
     return tan if tan.shape == shape else np.broadcast_to(tan, shape)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; all other dims must match exactly."""
-    ts = [Tensor._lift(t) for t in tensors]
+def silu(x):
+    """x * sigmoid(x); smooth, with analytic derivative.
+
+    The slope is computed only when a tangent or a backward pass uses it.
+    sigmoid and the slope are built in place from the operands of
+    ``1 / (1 + exp(-x))`` and ``sig * (1 + x * (1 - sig))``; IEEE ``+``
+    and ``*`` commute, so the bits are those of the two expressions.
+    """
+    a = x.data if isinstance(x, Tensor) else x
+    sig = np.negative(a, out=np.empty(a.shape))
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    if not isinstance(x, Tensor):  # nothing reads the slope, so the value takes sig's buffer
+        return np.multiply(a, sig, out=sig)
+
+    def slope():
+        out = np.subtract(1.0, sig)
+        out *= a
+        out += 1.0
+        out *= sig
+        return out
+
+    local = None if x.tangent is None else slope()
+    tan = None if local is None else local * x.tangent
+    return _node(a * sig, tan, (x,), lambda g: ((x, g * (slope() if local is None else local)),))
+
+
+def concat(parts: Sequence, axis: int = 0):
+    """Concatenate along ``axis``; all other dims must match exactly.
+
+    Plain arrays give an array; if any part is a Tensor, the result is one.
+    """
+    on_tape = any(isinstance(t, Tensor) for t in parts)
+    ts = [Tensor._lift(t) for t in parts] if on_tape else [np.asarray(t) for t in parts]
     shapes = [t.shape for t in ts]
     ref = list(shapes[0])
     for s in shapes[1:]:
         if len(s) != len(ref) or any(x != y for i, (x, y) in enumerate(zip(s, ref)) if i != axis):
             raise ShapeError(f"concat shapes do not conform along axis {axis}: {shapes}")
+    if not on_tape:
+        return np.concatenate(ts, axis=axis)
     out = np.concatenate([t.data for t in ts], axis=axis)
     tan = None
     if any(t.tangent is not None for t in ts):
@@ -337,15 +351,17 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(out, tan, tuple(ts), back)
 
 
-def sincos(x: Tensor) -> Tensor:
-    """[sin(x), cos(x)] along the last axis, as one node.
+def sincos(x):
+    """[sin(x), cos(x)] along the last axis, as one node (an array for an array).
 
     Each transcendental is computed once: the tangent is [cos tx, -sin tx]
     and the gradient g_s cos - g_c sin reuse the two halves of the value.
     """
-    x = Tensor._lift(x)
+    a = x.data if isinstance(x, Tensor) else x
+    out = np.concatenate([np.sin(a), np.cos(a)], axis=-1)
+    if not isinstance(x, Tensor):
+        return out
     k = x.shape[-1]
-    out = np.concatenate([np.sin(x.data), np.cos(x.data)], axis=-1)
     sin, cos = out[..., :k], out[..., k:]
     tan = None
     if x.tangent is not None:
@@ -353,8 +369,8 @@ def sincos(x: Tensor) -> Tensor:
     return _node(out, tan, (x,), lambda g: ((x, g[..., :k] * cos - g[..., k:] * sin),))
 
 
-def repeat_rows(x: Tensor, n: int) -> Tensor:
-    """Repeat a (1, k) row to (n, k); an (n, k) tensor passes through as is.
+def repeat_rows(x, n: int):
+    """Repeat a (1, k) row to (n, k); an (n, k) tensor or array passes through as is.
 
     The value and tangent are read-only broadcast views; the gradient is the
     sum over the n rows.
@@ -364,18 +380,25 @@ def repeat_rows(x: Tensor, n: int) -> Tensor:
     if x.shape[0] == n:
         return x
     shape = (n, x.shape[1])
+    if not isinstance(x, Tensor):
+        return np.broadcast_to(x, shape)
     tan = None if x.tangent is None else np.broadcast_to(x.tangent, shape)
     return _node(np.broadcast_to(x.data, shape), tan, (x,),
                  lambda g: ((x, g.sum(axis=0, keepdims=True)),))
 
 
-def gather_rows(table: Tensor, idx) -> Tensor:
-    """Select rows of a 2-d table by integer index (embedding lookup)."""
+def gather_rows(table, idx):
+    """Select rows of a 2-d table by integer index (embedding lookup).
+
+    ``table`` is a Tensor or a plain array, and the result is of its kind.
+    """
     idx = np.asarray(idx, dtype=np.int64)
     if len(table.shape) != 2:
         raise ShapeError(f"gather_rows needs a 2-d table, got {table.shape}")
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= table.shape[0]):
         raise IndexError(f"row index out of range for table with {table.shape[0]} rows")
+    if not isinstance(table, Tensor):
+        return table[idx]
     out = table.data[idx]
     tan = None if table.tangent is None else table.tangent[idx]
 
@@ -392,10 +415,11 @@ def jvp(f: Callable, xs: Sequence, vs: Sequence) -> tuple[Tensor, np.ndarray]:
 
     ``xs`` and ``vs`` are sequences of arrays with matching shapes. Returns
     ``(f(*xs), J_f(xs) @ vs)``; the tangent is a plain array. Raises
-    RuntimeError inside ``no_tape()``, where results carry no tangent.
+    RuntimeError inside ``no_tape()``, where a net call runs on plain arrays
+    and would drop the tangent.
     """
     if not _tape:
-        raise RuntimeError("jvp() inside no_tape(): results there carry no tangent")
+        raise RuntimeError("jvp() inside no_tape(): net calls there carry no tangent")
     duals = []
     for x, v in zip(xs, vs, strict=True):
         x = np.asarray(x, dtype=np.float64)

@@ -19,7 +19,7 @@ from mflow.oracle import (AnalyticFlow, exact_avg_velocity, exact_velocity,
                           identity_residual, identity_residual_grid)
 from mflow.sampling import (block_upsample, hf_band_energy, moment_distance, psnr,
                             sample_student, sr_infer, steps_sweep, write_sweep_csv)
-from mflow.tensor import Tensor, jvp, sincos
+from mflow.tensor import Tensor, jvp, silu, sincos
 from mflow.training import RunConfig, distill_student, load_student, load_teacher, train_teacher
 
 GAUSS_MU = [1.0, -0.5]
@@ -94,7 +94,7 @@ def test_autodiff_matches_finite_differences():
         def f(x):
             h = x
             for w in ws[:-1]:
-                h = (h @ w + 1.0).silu()
+                h = silu(h @ w + 1.0)
             return (sincos(h @ ws[-1]) ** 3.0).sum()
 
         x = rng.normal(size=(2, sizes[0]))

@@ -331,6 +331,20 @@ class TestIo:
         with pytest.raises(ValueError):
             read_pgm(path)
 
+    def test_read_pgm_rejects_two_byte_pixels(self, tmp_path):
+        # maxval 65535 stores each pixel in two bytes, which this reader does not read
+        path = tmp_path / "wide.pgm"
+        path.write_bytes(b"P5\n4 1\n65535\n" + np.array([0, 65535, 32768, 1], ">u2").tobytes())
+        with pytest.raises(ValueError, match=r"maxval 65535.*wide\.pgm"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_read_pgm_rejects_a_pixel_block_of_another_size(self, tmp_path, extra):
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes(6 + extra))
+        with pytest.raises(ValueError, match=r"has \d bytes, expected 3 \* 2.*cut\.pgm"):
+            read_pgm(path)
+
     def test_manifest(self, tmp_path):
         ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
         pool = build_sr_pool(ds, 4, 17)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mflow.tensor
 from mflow.nets import (FieldNet, TimeEmbedder, init_student_from_teacher, student_forward,
                         teacher_forward)
 from mflow.tensor import Tensor, jvp, no_tape
@@ -269,7 +270,7 @@ NET_SHAPES = {"gauss": dict(z_dim=2, lr_dim=0, num_content=1, hidden=(16, 16)),
 
 
 class TestNoTape:
-    """A forward inside ``no_tape()`` gives the taped ``.data`` bit for bit."""
+    """A forward inside ``no_tape()`` runs on arrays and gives the taped ``.data`` bit for bit."""
 
     B = 6
 
@@ -311,7 +312,25 @@ class TestNoTape:
         assert out._parents == () and out.tangent is None
         np.testing.assert_array_equal(out.data, taped.data)
 
+    def test_builds_no_tensor_per_op(self, case, monkeypatch):
+        calls, node = [], mflow.tensor._node
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return node(*args)
+
+        monkeypatch.setattr(mflow.tensor, "_node", spy)
+        self.forward(case, 0.3, 0.8)
+        assert calls  # the taped forward builds one node per op
+        calls.clear()
+        with no_tape():
+            self.forward(case, 0.3, 0.8)
+        assert calls == []
+
     def test_checks_still_raise(self, case):
         net, z, z_lr, labels = case
-        with no_tape(), pytest.raises(ValueError):
+        with no_tape(), pytest.raises(ValueError, match="condition id"):
             self.forward((net, z, z_lr, np.full(self.B, net.num_content + 2)), 0.3, 0.8)
+        if net.kind == "student":
+            with no_tape(), pytest.raises(ValueError, match="s >= t"):
+                self.forward(case, 0.8, 0.3)

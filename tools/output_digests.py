@@ -9,8 +9,9 @@ workload, with the configs of ``write_configs(workload, SEED, OUT/cfg)``,
 run in this process through ``mflow.cli.run``. Every file is written under
 OUT, which must be empty or absent. The printout names each output file and
 its sha256, except the training logs (``*_log.csv``), which hold wall times,
-and then the value of OPENBLAS_NUM_THREADS, since checkpoint bytes depend
-on the BLAS thread count.
+and then the value of OPENBLAS_NUM_THREADS and the thread count that
+OpenBLAS reports in force (read as ``perfbench/bench_env.py`` reads it),
+since checkpoint bytes depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ sys.dont_write_bytecode = True  # leave no cache files beside the modules
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import mflow.cli  # noqa: E402
+from bench_env import _openblas  # noqa: E402
 from bench_workloads import WORKLOADS, write_configs  # noqa: E402
 
 
@@ -61,6 +63,7 @@ def main(argv=None) -> int:
     run_round(args.workload, args.seed, args.out)
     print("\n".join(digests(args.out)))
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}")
+    print(f"openblas_threads_in_force={_openblas()['threads']}")
     return 0
 
 
