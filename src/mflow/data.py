@@ -10,6 +10,7 @@ occasionally pairing it with extra-degraded targets.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -411,20 +412,34 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
+# one header field, after any whitespace and "#" comments (each runs to the end of its line)
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
+
+
 def read_pgm(path) -> np.ndarray:
     """A [0, 1] image from a binary PGM of one byte per pixel, as ``write_pgm`` writes.
 
-    Raises ValueError, naming the file, for another format, a maxval outside
-    1..255 (two bytes per pixel) or a pixel block that is not w * h bytes.
+    The header's magic, width, height and maxval are whitespace-separated
+    fields, with ``#`` comments allowed between them; exactly one whitespace
+    byte follows maxval. Raises ValueError, naming the file, for another
+    format, a missing or non-integer field, a maxval outside 1..255 (two
+    bytes per pixel) or a pixel block that is not w * h bytes.
     """
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM file: {path}")
-        dims = fh.readline().split()
-        maxval = int(fh.readline())
-        w, h = int(dims[0]), int(dims[1])
-        pixels = fh.read()
+        data = fh.read()
+    m = _PGM_FIELD.match(data)
+    if m is None or m.group(1) != b"P5":
+        raise ValueError(f"not a binary PGM file: {path}")
+    values = []
+    for name in ("width", "height", "maxval"):
+        m = _PGM_FIELD.match(data, m.end())
+        if m is None or not m.group(1).isdigit():
+            raise ValueError(f"PGM {name} is missing or not an integer: {path}")
+        values.append(int(m.group(1)))
+    w, h, maxval = values
+    if not data[m.end():m.end() + 1].isspace():
+        raise ValueError(f"PGM maxval is not followed by a whitespace byte: {path}")
+    pixels = data[m.end() + 1:]
     if not 1 <= maxval <= 255:
         raise ValueError(f"PGM maxval {maxval} is not in 1..255: {path}")
     if len(pixels) != w * h:

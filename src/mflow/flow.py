@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import FieldNet, student_forward, teacher_forward
-from .tensor import Tensor, jvp, no_tape
+from .tensor import Tensor, jvp
 
 CFG_MODES = ("gt", "original_mf", "teacher_null", "teacher_neg")
 
@@ -98,7 +98,7 @@ def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
     Returns a plain array: the result always feeds the stop-gradded target,
     so nothing here participates in parameter gradients. The net calls (the
     teacher's two, or ``original_mf``'s two student calls at s = t) therefore
-    run inside ``no_tape()``, on plain arrays: same values, no Tensor per op.
+    pass ``tape=False`` and run on plain arrays: same values, no Tensor per op.
     """
     if cfg.mode == "gt":
         if z0 is None or z1 is None:
@@ -106,16 +106,14 @@ def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
         return np.asarray(z1, dtype=np.float64) - np.asarray(z0, dtype=np.float64)
     if cfg.mode in ("teacher_null", "teacher_neg"):
         ref = teacher.null_id if cfg.mode == "teacher_null" else teacher.negative_id
-        with no_tape():
-            v_c = teacher_forward(teacher, z, t, z_lr, c).data
-            v_ref = teacher_forward(teacher, z, t, z_lr, ref).data
+        v_c = teacher_forward(teacher, z, t, z_lr, c, tape=False)
+        v_ref = teacher_forward(teacher, z, t, z_lr, ref, tape=False)
         return v_c + cfg.w * (v_c - v_ref)
     # original_mf: self-referential CFG through the student at s = t
     if student is None or z0 is None or z1 is None:
         raise ValueError("original_mf mode requires the student and the endpoint pair (z0, z1)")
-    with no_tape():
-        u_c = student_forward(student, z, t, t, z_lr, c).data
-        u_null = student_forward(student, z, t, t, z_lr, student.null_id).data
+    u_c = student_forward(student, z, t, t, z_lr, c, tape=False)
+    u_null = student_forward(student, z, t, t, z_lr, student.null_id, tape=False)
     gt = np.asarray(z1, dtype=np.float64) - np.asarray(z0, dtype=np.float64)
     return cfg.w * gt + cfg.kappa * u_c + (1.0 - cfg.w - cfg.kappa) * u_null
 

@@ -21,9 +21,10 @@ per-row times, is bit-identical either way; a shared-time forward may differ
 from the per-row one by a few ulps, since a one-row matmul replaces B
 identical rows.
 
-A forward that needs values only, inside ``tensor.no_tape()``, runs the same
+A call that needs values only passes ``tape=False``: it runs the same
 ``_forward`` body on plain arrays (the inputs and ``FieldNet.arrays``), so no
-op builds a Tensor; its bits are those of a taped forward's ``.data``.
+op builds a Tensor, and returns an array with the bits of a taped forward's
+``.data``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .tensor import Tensor, concat, gather_rows, repeat_rows, silu, sincos, taping
+from .tensor import Tensor, concat, gather_rows, repeat_rows, silu, sincos
 
 # Highest time frequency, in cycles per unit of ``c_noise * t``.
 MAX_FREQ = 32.0
@@ -270,38 +271,42 @@ def _array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _call(net: FieldNet, z, t, s, z_lr, c) -> Tensor:
-    """Run ``net._forward``: on Tensors on the tape, on plain arrays inside ``no_tape()``.
+def _call(net: FieldNet, z, t, s, z_lr, c, tape: bool) -> Tensor | np.ndarray:
+    """Run ``net._forward``: on Tensors with ``tape``, else on plain arrays.
 
-    Off the tape the inputs are float64 arrays, the weights ``net.arrays``,
-    and the result is wrapped in one value-only Tensor.
+    Without ``tape`` the inputs are float64 arrays, the weights
+    ``net.arrays``, and the result is an array.
     """
-    taped = taping()
-    lift = Tensor._lift if taped else _array
+    lift = Tensor._lift if tape else _array
     z = lift(z)
     t = _as_column(lift(t))
     if s is not None:
         s = _as_column(lift(s))
-        s_value, t_value = (s.data, t.data) if taped else (s, t)
+        s_value, t_value = (s.data, t.data) if tape else (s, t)
         if np.any(s_value < t_value - 1e-12):
             raise ValueError("student_forward requires s >= t (the sampler only moves forward)")
     ids = net.label_ids(c, z.shape[0])
-    out = net._forward(net.params if taped else net.arrays, z, t, lift(z_lr), ids, s)
-    return out if taped else Tensor(out)
+    return net._forward(net.params if tape else net.arrays, z, t, lift(z_lr), ids, s)
 
 
-def teacher_forward(net: FieldNet, z, t, z_lr, c) -> Tensor:
-    """Instantaneous velocity v(z, t | z_lr, c); output shape equals z."""
+def teacher_forward(net: FieldNet, z, t, z_lr, c, tape: bool = True) -> Tensor | np.ndarray:
+    """Instantaneous velocity v(z, t | z_lr, c); output shape equals z.
+
+    A Tensor on the tape; with ``tape=False`` the same values as an array.
+    """
     if net.kind != "teacher":
         raise ValueError("teacher_forward called on a non-teacher net")
-    return _call(net, z, t, None, z_lr, c)
+    return _call(net, z, t, None, z_lr, c, tape)
 
 
-def student_forward(net: FieldNet, z, t, s, z_lr, c) -> Tensor:
-    """Average velocity u(z, t, s | z_lr, c) over [t, s]; requires s >= t."""
+def student_forward(net: FieldNet, z, t, s, z_lr, c, tape: bool = True) -> Tensor | np.ndarray:
+    """Average velocity u(z, t, s | z_lr, c) over [t, s]; requires s >= t.
+
+    A Tensor on the tape; with ``tape=False`` the same values as an array.
+    """
     if net.kind != "student":
         raise ValueError("student_forward called on a non-student net")
-    return _call(net, z, t, s, z_lr, c)
+    return _call(net, z, t, s, z_lr, c, tape)
 
 
 def init_student_from_teacher(teacher: FieldNet) -> FieldNet:

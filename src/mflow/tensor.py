@@ -16,42 +16,15 @@ is a constant.
 Value-only work needs no Tensor at all. ``concat``, ``sincos``, ``silu``,
 ``repeat_rows`` and ``gather_rows`` also take plain arrays and then return
 one, computed by the same numpy expression as their Tensor rule, with the
-same shape and index checks; ``+ - * @`` on arrays are numpy's own. Inside
-``with no_tape():`` the nets run their forward that way (see ``nets.py``),
-so the values are bit-identical to a taped forward's ``.data``.
+same shape and index checks; ``+ - * @`` on arrays are numpy's own. So one
+forward body runs on either kind of input, with the same values.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-# False inside ``no_tape()``; read through ``taping()`` and by ``jvp``.
-_tape = True
-
-
-@contextmanager
-def no_tape() -> Iterator[None]:
-    """Mark a block whose net calls need values only; restores the state on exit.
-
-    Inside it, ``nets.teacher_forward`` and ``nets.student_forward`` run on
-    plain arrays and return a value-only Tensor, and ``jvp`` refuses to run.
-    Blocks nest, and the state is restored after an exception. The switch is
-    one flag for the whole process, not one per thread.
-    """
-    global _tape
-    previous, _tape = _tape, False
-    try:
-        yield
-    finally:
-        _tape = previous
-
-
-def taping() -> bool:
-    """False inside ``no_tape()``."""
-    return _tape
 
 
 class ShapeError(ValueError):
@@ -322,14 +295,14 @@ def concat(parts: Sequence, axis: int = 0):
 
     Plain arrays give an array; if any part is a Tensor, the result is one.
     """
-    on_tape = any(isinstance(t, Tensor) for t in parts)
-    ts = [Tensor._lift(t) for t in parts] if on_tape else [np.asarray(t) for t in parts]
+    any_tensor = any(isinstance(t, Tensor) for t in parts)
+    ts = [Tensor._lift(t) for t in parts] if any_tensor else [np.asarray(t) for t in parts]
     shapes = [t.shape for t in ts]
     ref = list(shapes[0])
     for s in shapes[1:]:
         if len(s) != len(ref) or any(x != y for i, (x, y) in enumerate(zip(s, ref)) if i != axis):
             raise ShapeError(f"concat shapes do not conform along axis {axis}: {shapes}")
-    if not on_tape:
+    if not any_tensor:
         return np.concatenate(ts, axis=axis)
     out = np.concatenate([t.data for t in ts], axis=axis)
     tan = None
@@ -414,12 +387,9 @@ def jvp(f: Callable, xs: Sequence, vs: Sequence) -> tuple[Tensor, np.ndarray]:
     """Evaluate ``f(*xs)`` and its directional derivative along ``vs`` in one pass.
 
     ``xs`` and ``vs`` are sequences of arrays with matching shapes. Returns
-    ``(f(*xs), J_f(xs) @ vs)``; the tangent is a plain array. Raises
-    RuntimeError inside ``no_tape()``, where a net call runs on plain arrays
-    and would drop the tangent.
+    ``(f(*xs), J_f(xs) @ vs)``; the tangent is a plain array, taken off the
+    result, so ops applied to the result later carry no tangent.
     """
-    if not _tape:
-        raise RuntimeError("jvp() inside no_tape(): net calls there carry no tangent")
     duals = []
     for x, v in zip(xs, vs, strict=True):
         x = np.asarray(x, dtype=np.float64)
@@ -428,5 +398,5 @@ def jvp(f: Callable, xs: Sequence, vs: Sequence) -> tuple[Tensor, np.ndarray]:
             raise ShapeError(f"tangent shape {v.shape} != input shape {x.shape}")
         duals.append(Tensor(x, tangent=v))
     out = f(*duals)
-    tangent = out.tangent if out.tangent is not None else np.zeros_like(out.data)
-    return out, tangent
+    tangent, out.tangent = out.tangent, None
+    return out, tangent if tangent is not None else np.zeros_like(out.data)

@@ -29,7 +29,7 @@ GAUSS_SIGMA = 1.0
 def _euler(teacher):
     """The teacher as a sampler field u(z, t, s) = v(z, t), so that
     ``sample_student`` takes Euler steps."""
-    return lambda z, t, s, z_lr, c: teacher_forward(teacher, z, t, z_lr, c).data
+    return lambda z, t, s, z_lr, c: teacher_forward(teacher, z, t, z_lr, c, tape=False)
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:

@@ -331,6 +331,31 @@ class TestIo:
         with pytest.raises(ValueError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n# made elsewhere\n2 1\n255\n", b"P5 2 1 255\n",
+                                        b"P5\r\n2\t1 # two by one\r\n# maxval next\r\n255\r"],
+                             ids=["comment", "one_line", "crlf_tabs_comments"])
+    def test_read_pgm_reads_any_netpbm_header(self, tmp_path, header):
+        path = tmp_path / "other.pgm"
+        path.write_bytes(header + bytes([0, 51]))
+        np.testing.assert_array_equal(read_pgm(path), [[0.0, 0.2]])
+
+    @pytest.mark.parametrize("header, field", [(b"P5\n2 1\n", "maxval"), (b"P5\n2", "height"),
+                                               (b"P5 2 x 255\n", "height"),
+                                               (b"P5 2 1 -255\n", "maxval"),
+                                               (b"P5 2 1 # 255\n", "maxval")],
+                             ids=["no_maxval", "no_height", "letter", "negative", "in_comment"])
+    def test_read_pgm_rejects_a_missing_or_non_integer_field(self, tmp_path, header, field):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=rf"PGM {field} is missing or not an integer.*short\.pgm"):
+            read_pgm(path)
+
+    def test_read_pgm_needs_a_whitespace_byte_after_maxval(self, tmp_path):
+        path = tmp_path / "glued.pgm"
+        path.write_bytes(b"P5 1 1 255")
+        with pytest.raises(ValueError, match=r"whitespace.*glued\.pgm"):
+            read_pgm(path)
+
     def test_read_pgm_rejects_two_byte_pixels(self, tmp_path):
         # maxval 65535 stores each pixel in two bytes, which this reader does not read
         path = tmp_path / "wide.pgm"

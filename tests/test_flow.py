@@ -8,7 +8,7 @@ from mflow.data import FlowBatch, sample_timestep_batch
 from mflow.flow import (CFG_MODES, CfgConfig, LossConfig, _student_jvp, cfg_velocity,
                         interpolate, mfd_loss, mfd_target, rf_loss)
 from mflow.nets import FieldNet, init_student_from_teacher, student_forward, teacher_forward
-from mflow.tensor import Tensor, taping
+from mflow.tensor import Tensor
 
 
 def make_teacher(seed=0, z_dim=3):
@@ -327,6 +327,17 @@ class TestMfdLoss:
         assert any(p.grad is not None and np.any(p.grad != 0)
                    for p in student.parameters().values())
 
+    @pytest.mark.parametrize("metric", ["squared_l2", "pseudo_huber"])
+    @pytest.mark.parametrize("mode", ["gt", "teacher_null"])
+    def test_loss_carries_no_tangent(self, mode, metric):
+        # du/dt leaves the student's dual pass as an array, so no op after it forms a tangent
+        teacher = make_teacher(seed=12)
+        student = init_student_from_teacher(teacher)
+        batch = make_batch(np.random.default_rng(12), n=6)
+        loss = mfd_loss(student, teacher, batch, CfgConfig(mode=mode, w=1.0),
+                        LossConfig(metric=metric))
+        assert loss.tangent is None
+
     def test_loss_nonnegative_and_finite(self):
         teacher = make_teacher(seed=10)
         student = init_student_from_teacher(teacher)
@@ -417,8 +428,8 @@ class TestTapeUse:
         results = []
 
         def spy(forward):
-            def call(*args):
-                results.append(forward(*args))
+            def call(*args, **kwargs):
+                results.append(forward(*args, **kwargs))
                 return results[-1]
             return call
 
@@ -427,8 +438,7 @@ class TestTapeUse:
         cfg_velocity(teacher, z, t, z_lr, 0, CfgConfig(mode=mode, w=1.0), student=student,
                      z0=z0, z1=z1)
         assert len(results) == 2
-        assert all(r._parents == () for r in results)
-        assert taping()  # the tape is back on
+        assert all(type(r) is np.ndarray for r in results)
 
     @pytest.mark.parametrize("mode", ["teacher_null", "teacher_neg", "original_mf"])
     def test_losses_drop_constant_nodes_only(self, mode, monkeypatch):

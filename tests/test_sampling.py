@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import mflow.tensor
 from mflow.data import (DegradeParams, GaussianDataset, Gen2dDataset, ToySrDataset, build_sr_pool,
                         from_signal, to_signal)
-from mflow.nets import FieldNet
+from mflow.nets import FieldNet, student_forward
 from mflow.oracle import AnalyticFlow, exact_avg_velocity, exact_velocity, flow_map
 from mflow.sampling import (block_upsample, energy_distance, hf_band_energy,
                             moment_distance, psnr, sample_student, sr_infer, sr_restore,
@@ -41,6 +42,25 @@ class TestSampleStudent:
     def test_step_count_validation(self, flow):
         with pytest.raises(ValueError):
             sample_student(oracle_student(flow), np.zeros((2, 2)), None, 0, 0)
+
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_a_net_student_builds_no_tensor(self, monkeypatch, n_steps):
+        student = FieldNet("student", z_dim=2, lr_dim=0, num_content=1, cond_dim=4, time_dim=8,
+                           hidden=(8,), seed=5)
+        z0, z_lr = np.random.default_rng(5).standard_normal((4, 2)), np.zeros((4, 0))
+        calls, node = [], mflow.tensor._node
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return node(*args)
+
+        monkeypatch.setattr(mflow.tensor, "_node", spy)
+        student_forward(student, z0, 0.0, 1.0, z_lr, 0)
+        assert calls  # a taped forward builds one node per op
+        calls.clear()
+        sample_student(student, z0, z_lr, 0, n_steps)
+        assert calls == []
 
 
 class TestSampleTeacher:

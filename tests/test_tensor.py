@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflow.tensor import (ShapeError, Tensor, concat, gather_rows, jvp, no_tape, repeat_rows,
-                          silu, sincos, taping)
+from mflow.tensor import ShapeError, Tensor, concat, gather_rows, jvp, repeat_rows, silu, sincos
 
 
 def _rand_mlp(rng, sizes):
@@ -69,6 +68,7 @@ class TestJvp:
         out, tan = jvp(lambda x: x * x, (np.array(3.0),), (np.array(1.0),))
         assert out.item() == 9.0
         assert tan == 6.0
+        assert out.tangent is None  # the tangent is handed back once, not carried on
 
     def test_two_layer_net_matches_central_difference(self):
         rng = np.random.default_rng(7)
@@ -343,8 +343,9 @@ class TestSincos:
 class TestNoTape:
     """Plain arrays through the ops a net forward uses give the taped values.
 
-    Inside ``no_tape()`` a net forward runs on arrays: ``+ - * @`` are numpy's
-    own, and the structural ops take arrays and return arrays.
+    A value-only net call (``tape=False``) runs its forward on arrays:
+    ``+ - * @`` are numpy's own, and the structural ops take arrays and
+    return arrays.
     """
 
     rng = np.random.default_rng(23)
@@ -367,8 +368,7 @@ class TestNoTape:
         f = self.OPS[op]
         taped = f(Tensor(self.A, requires_grad=True, tangent=self.V), Tensor(self.B))
         assert taped._parents
-        with no_tape():
-            out = f(self.A.copy(), self.B.copy())
+        out = f(self.A.copy(), self.B.copy())
         assert type(out) is np.ndarray
         np.testing.assert_array_equal(out, taped.data)
 
@@ -377,41 +377,21 @@ class TestNoTape:
         silu(x)
         np.testing.assert_array_equal(x, self.A)
 
-    def test_restores_the_tape_after_an_exception(self):
-        with pytest.raises(RuntimeError):
-            with no_tape():
-                assert not taping()
-                raise RuntimeError("boom")
-        assert taping()
-
-    def test_nested_blocks_restore_the_outer_state(self):
-        with no_tape():
-            with no_tape():
-                assert not taping()
-            assert not taping()
-        assert taping()
-
     def test_shape_and_index_checks_still_raise(self):
-        with no_tape():
-            with pytest.raises(ValueError):
-                np.ones((2, 3)) + np.ones((3, 2))
-            with pytest.raises(ValueError):
-                np.ones((2, 3)) @ np.ones((2, 3))
-            with pytest.raises(ShapeError):
-                concat([np.ones((2, 2)), np.ones((3, 2))], axis=1)
-            with pytest.raises(ShapeError):
-                repeat_rows(np.ones((2, 3)), 4)
-            with pytest.raises(ShapeError):
-                gather_rows(np.ones(3), [0])
-            with pytest.raises(IndexError):
-                gather_rows(np.ones((2, 3)), [2])
-            with pytest.raises(IndexError):
-                gather_rows(np.ones((2, 3)), [-1])
-        assert taping()
-
-    def test_jvp_refuses_to_run_without_the_tape(self):
-        with no_tape(), pytest.raises(RuntimeError, match="no_tape"):
-            jvp(lambda x: x * x, (np.ones(2),), (np.ones(2),))
+        with pytest.raises(ValueError):
+            np.ones((2, 3)) + np.ones((3, 2))
+        with pytest.raises(ValueError):
+            np.ones((2, 3)) @ np.ones((2, 3))
+        with pytest.raises(ShapeError):
+            concat([np.ones((2, 2)), np.ones((3, 2))], axis=1)
+        with pytest.raises(ShapeError):
+            repeat_rows(np.ones((2, 3)), 4)
+        with pytest.raises(ShapeError):
+            gather_rows(np.ones(3), [0])
+        with pytest.raises(IndexError):
+            gather_rows(np.ones((2, 3)), [2])
+        with pytest.raises(IndexError):
+            gather_rows(np.ones((2, 3)), [-1])
 
 
 class TestConstantNodes:

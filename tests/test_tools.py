@@ -1,0 +1,42 @@
+"""tools/output_digests.py, run in a child process: the tool puts ``src`` and
+``perfbench`` on ``sys.path`` and turns off bytecode writing when imported."""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "output_digests.py"
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_refuses_an_out_that_is_not_empty(tmp_path):
+    (tmp_path / "keep.txt").write_text("mine")
+    done = subprocess.run([sys.executable, str(TOOL), "gauss", "1", str(tmp_path)],
+                          capture_output=True, text=True, cwd=ROOT, timeout=120)
+    assert done.returncode == 2
+    assert "is not empty" in done.stderr
+    assert done.stdout == ""
+    assert _files(tmp_path) == {"keep.txt": b"mine"}
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+
+def test_digests_list_every_file_but_the_logs_sorted_by_path(tmp_path):
+    tree = {"b.ckpt": b"weights", "a/x.csv": b"1,2\n", "c/d/e.pgm": b"P5 1 1 255\n\0",
+            "teacher_log.csv": b"step,ms\n", "c/student_log.csv": b"step,ms\n"}
+    for name, data in tree.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "empty").mkdir()
+    show = ("import pathlib, runpy, sys\n"
+            "digests = runpy.run_path(sys.argv[1])['digests']\n"
+            "print('\\n'.join(digests(pathlib.Path(sys.argv[2]))))\n")
+    done = subprocess.run([sys.executable, "-c", show, str(TOOL), str(tmp_path)],
+                          capture_output=True, text=True, cwd=ROOT, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"{hashlib.sha256(tree[name]).hexdigest()}  {name}"
+                                        for name in ("a/x.csv", "b.ckpt", "c/d/e.pgm")]
