@@ -298,6 +298,8 @@ class ToySrDataset:
     params: DegradeParams = field(default_factory=DegradeParams)
 
     def __post_init__(self):
+        if self.hr_size < 1:
+            raise ValueError("hr_size must be positive")
         if self.hr_size % self.params.scale:
             raise ValueError(f"scale {self.params.scale} does not divide hr_size {self.hr_size}")
 

@@ -40,52 +40,32 @@ from .tensor import Tensor, concat, gather_rows, repeat_rows, silu, sincos
 MAX_FREQ = 32.0
 
 
-class TimeEmbedder:
-    """Sinusoidal time features.
-
-    The scalar time is first scaled by ``c_noise`` (the affine time
-    transform); the feature vector is [sin(f_i * c_noise * t),
-    cos(f_i * c_noise * t)] with frequencies spaced geometrically from 2 pi to
-    2 pi ``MAX_FREQ``, so the norm of its time derivative scales exactly
-    linearly in ``c_noise``.
-    """
-
-    def __init__(self, dim: int, c_noise: float = 1.0):
-        if dim % 2 != 0:
-            raise ValueError("time embedding dim must be even")
-        self.dim = dim
-        self.c_noise = float(c_noise)
-        half = dim // 2
-        exponents = np.arange(half) / max(half - 1, 1)
-        self.freqs = 2.0 * np.pi * MAX_FREQ ** exponents  # (half,)
-
-    def raw_features(self, t):
-        """Sin/cos features of shape (B, dim) for t of shape (B, 1), a Tensor or an array."""
-        return sincos(t * (self.c_noise * self.freqs[None, :]))
-
-
 class FieldNet:
     """MLP velocity field; ``kind`` selects teacher (v) or student (u) form.
 
     The weights are one flat vector, ``flat``, in ``_layout()`` order;
     ``arrays`` holds a view of it per weight, and ``params`` a Tensor around
     each view. Writing to a view (as ``set_parameter`` and the optimizer do)
-    changes the net in place.
+    changes the net in place. Without ``weights`` the net draws them from
+    ``seed``; with a mapping it copies them and draws nothing. Every weight
+    of the layout must be in ``weights`` with its shape, else ValueError;
+    other names are ignored.
+
+    Time features: the scalar time is first scaled by ``c_noise`` (the affine
+    time transform); the feature vector is [sin(f_i * c_noise * t),
+    cos(f_i * c_noise * t)] with frequencies ``freqs`` spaced geometrically
+    from 2 pi to 2 pi ``MAX_FREQ``, so the norm of its time derivative scales
+    exactly linearly in ``c_noise``. One feature map serves t and s.
     """
 
     def __init__(self, kind: str, z_dim: int, lr_dim: int, num_content: int,
                  cond_dim: int = 16, time_dim: int = 32, hidden: tuple[int, ...] = (64, 64),
-                 c_noise: float = 1.0, seed: int = 0):
-        self._configure(kind, z_dim, lr_dim, num_content, cond_dim, time_dim, hidden,
-                        c_noise, seed)
-        self._draw()
-
-    def _configure(self, kind: str, z_dim: int, lr_dim: int, num_content: int,
-                   cond_dim: int, time_dim: int, hidden: tuple[int, ...], c_noise: float,
-                   seed: int) -> None:
-        """Set the config and allocate the weight vector, all zero."""
+                 c_noise: float = 1.0, seed: int = 0,
+                 weights: Mapping[str, np.ndarray] | None = None):
         if kind not in ("teacher", "student"):
             raise ValueError(f"unknown net kind: {kind!r}")
+        if time_dim % 2 != 0:
+            raise ValueError("time embedding dim must be even")
         self.kind = kind
         self.z_dim = z_dim
         self.lr_dim = lr_dim
@@ -93,13 +73,18 @@ class FieldNet:
         self.cond_dim = cond_dim
         self.time_dim = time_dim
         self.hidden = tuple(hidden)
+        self.c_noise = float(c_noise)
         self.seed = seed
-        # one feature map serves t and s: a net has a single c_noise
-        self.time_embedder = TimeEmbedder(time_dim, c_noise=c_noise)
+        half = time_dim // 2
+        self.freqs = 2.0 * np.pi * MAX_FREQ ** (np.arange(half) / max(half - 1, 1))
         self.flat = np.zeros(sum(math.prod(shape) for shape in self._layout().values()))
         self.arrays = self.views(self.flat)
         self.params: dict[str, Tensor] = {name: Tensor(w, requires_grad=True)
                                           for name, w in self.arrays.items()}
+        if weights is None:
+            self._draw()
+        else:
+            copy_into(self.arrays, weights)
 
     def _layout(self) -> dict[str, tuple[int, ...]]:
         """Shape of every weight, in checkpoint order.
@@ -160,19 +145,6 @@ class FieldNet:
                 drawn *= 0.1  # small last layer keeps the untrained field tame
             w[f"layer{i}.W"][...] = drawn
 
-    @classmethod
-    def _from_arrays(cls, config: dict, arrays: Mapping[str, np.ndarray]) -> "FieldNet":
-        """A net of ``config`` whose weights are copied from ``arrays``.
-
-        Nothing is drawn from the RNG. Every weight of the layout must be in
-        ``arrays`` with its shape, else ValueError; other names are ignored.
-        A bad ``config`` raises TypeError or ValueError.
-        """
-        net = cls.__new__(cls)
-        net._configure(**config)
-        copy_into(net.arrays, arrays)
-        return net
-
     # -- labels ---------------------------------------------------------------
 
     @property
@@ -193,9 +165,6 @@ class FieldNet:
 
     # -- parameters -------------------------------------------------------------
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def set_parameter(self, name: str, value: Tensor) -> None:
         """Copy ``value`` into one weight; raises KeyError for an unknown name."""
         data = self.params[name].data
@@ -203,16 +172,17 @@ class FieldNet:
             raise ValueError(f"parameter {name!r} has shape {data.shape}, got {value.shape}")
         data[...] = value.data
 
-    def param_count(self) -> int:
-        return self.flat.size
-
     def config(self) -> dict:
         return {"kind": self.kind, "z_dim": self.z_dim, "lr_dim": self.lr_dim,
                 "num_content": self.num_content, "cond_dim": self.cond_dim,
                 "time_dim": self.time_dim, "hidden": list(self.hidden),
-                "c_noise": self.time_embedder.c_noise, "seed": self.seed}
+                "c_noise": self.c_noise, "seed": self.seed}
 
     # -- forward ---------------------------------------------------------------
+
+    def _time_features(self, t):
+        """Sin/cos features of shape (B, time_dim) for t of shape (B, 1), a Tensor or an array."""
+        return sincos(t * (self.c_noise * self.freqs[None, :]))
 
     def _forward(self, p: Mapping, z, t, z_lr, ids: np.ndarray, s):
         """The field from the weights ``p`` and inputs of one kind.
@@ -220,7 +190,7 @@ class FieldNet:
         Tensors with ``p = params`` on the tape; plain arrays with
         ``p = arrays`` for values only. t and s are (1, 1) or (B, 1) columns.
         """
-        features = self.time_embedder.raw_features
+        features = self._time_features
         # (1, time_dim) when the batch shares one t (and s), else (B, time_dim)
         time = features(t) @ p["t_emb.W"] + p["t_emb.b"]
         if self.kind == "student":
@@ -324,5 +294,4 @@ def init_student_from_teacher(teacher: FieldNet) -> FieldNet:
     d = teacher.time_dim
     arrays["s_emb.W"] = np.zeros((d, d))
     arrays["s_emb.b"] = np.zeros((1, d))
-    return FieldNet._from_arrays({**teacher.config(), "kind": "student", "c_noise": 1.0},
-                                 arrays)
+    return FieldNet(**{**teacher.config(), "kind": "student", "c_noise": 1.0}, weights=arrays)

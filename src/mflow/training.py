@@ -182,7 +182,7 @@ def load_checkpoint(path, skip: str | None = None) -> tuple[dict[str, np.ndarray
     """Read a checkpoint; raises CheckpointError unless the file is well formed.
 
     The tensors are read-only views of the bytes read from the file; a caller
-    that needs to write copies them (``FieldNet._from_arrays`` and resuming
+    that needs to write copies them (``FieldNet(..., weights=...)`` and resuming
     already copy into the flat vectors). Tensors whose name starts with
     ``skip`` are seeked past instead of read and are left out of the result;
     their lengths are checked like any other, so a truncated file is still
@@ -448,7 +448,7 @@ class _TrainLog:
 
 def _save_net_checkpoint(path, net: FieldNet, adam: Adam, config: RunConfig,
                          step: int, rng: np.random.Generator, role: str) -> None:
-    tensors = {name: p.data for name, p in net.parameters().items()}
+    tensors = dict(net.arrays)
     tensors.update(adam.state_arrays(net.views))
     meta = {"role": role, "step": step, "config_digest": config.digest(),
             "net_config": net.config(), "config": config.to_dict(),
@@ -469,7 +469,7 @@ def _load_net(path, kind: str | None = None, moments: bool = False
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: no net config")
     try:
-        net = FieldNet._from_arrays(config, tensors)
+        net = FieldNet(**config, weights=tensors)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     if kind is not None and net.kind != kind:
@@ -494,19 +494,23 @@ def _check_teacher_fits(config: RunConfig, dataset, teacher: FieldNet, path) -> 
                               ("time_dim", config.time_dim, teacher.time_dim),
                               ("cond_dim", config.cond_dim, teacher.cond_dim),
                               ("teacher_c_noise", config.teacher_c_noise,
-                               teacher.time_embedder.c_noise)):
+                               teacher.c_noise)):
         if asked != held:
             raise CheckpointError(f"{path}: the config asks for {name}={asked}, "
                                   f"the teacher has {held}")
 
 
-def _resume_state(path, net: FieldNet, adam: Adam, tensors: dict[str, np.ndarray],
-                  meta: dict) -> tuple[int, np.random.Generator]:
+def _resume_state(path, config: RunConfig, net: FieldNet, adam: Adam,
+                  tensors: dict[str, np.ndarray], meta: dict) -> tuple[int, np.random.Generator]:
     """Restore Adam's moments and step count; returns (next step, training RNG).
 
-    Raises CheckpointError when the checkpoint lacks anything needed to
-    continue the run bit-exactly.
+    Raises CheckpointError when the checkpoint was written under another
+    config than ``config`` or lacks anything needed to continue the run
+    bit-exactly.
     """
+    if meta.get("config_digest") != config.digest():
+        raise CheckpointError(f"{path}: written under another config than the one "
+                              f"given, so the run cannot continue from it")
     for key in ("step", "adam_step"):
         if not isinstance(meta.get(key), int) or meta[key] < 0:
             raise CheckpointError(f"{path}: no valid {key!r} to resume from")
@@ -529,7 +533,7 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
     clipping, Adam, the log and the checkpoint cadence.
     """
     final = out / f"{role}.ckpt"
-    params = net.parameters()
+    params = net.params
     grad = np.empty_like(net.flat)
     grads = net.views(grad)
     log = _TrainLog(out / f"{role}_log.csv", start)
@@ -562,11 +566,11 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
     if resume:
         teacher, tensors, meta = _load_net(resume, "teacher", moments=True)
         _check_teacher_fits(config, dataset, teacher, resume)
-        adam = Adam(teacher.param_count(), lr=config.lr)
-        start, rng = _resume_state(resume, teacher, adam, tensors, meta)
+        adam = Adam(teacher.flat.size, lr=config.lr)
+        start, rng = _resume_state(resume, config, teacher, adam, tensors, meta)
     else:
         teacher = config.build_teacher()
-        adam = Adam(teacher.param_count(), lr=config.lr)
+        adam = Adam(teacher.flat.size, lr=config.lr)
         start, rng = 0, np.random.default_rng(config.seed)
     pool = _sr_train_pool(config, dataset)
     return _run_steps(
@@ -594,8 +598,8 @@ def describe_checkpoint(path) -> dict:
     """
     net, _, meta = _load_net(path)
     return {"role": meta.get("role"), "kind": net.kind, "step": meta.get("step"),
-            "adam_step": meta.get("adam_step"), "param_count": net.param_count(),
-            "params_digest": params_digest(net.parameters()),
+            "adam_step": meta.get("adam_step"), "param_count": net.flat.size,
+            "params_digest": params_digest(net.params),
             "config_digest": meta.get("config_digest")}
 
 
@@ -611,15 +615,15 @@ def distill_student(config: RunConfig, teacher_ckpt, out_dir) -> Path:
     teacher = load_teacher(teacher_ckpt)
     ds = config.dataset()
     _check_teacher_fits(config, ds, teacher, teacher_ckpt)
-    frozen_digest = params_digest(teacher.parameters())
+    frozen_digest = params_digest(teacher.params)
     student = init_student_from_teacher(teacher)
     pool = _sr_train_pool(config, ds)
     final = _run_steps(
-        config, student, Adam(student.param_count(), lr=config.lr),
+        config, student, Adam(student.flat.size, lr=config.lr),
         np.random.default_rng(config.seed), 0, out, "student",
         lambda rng: make_batch(ds, config.batch_size, rng, ratio_r=config.loss.ratio_r,
                                pool=pool),
         lambda batch: mfd_loss(student, teacher, batch, config.cfg, config.loss))
-    if params_digest(teacher.parameters()) != frozen_digest:
+    if params_digest(teacher.params) != frozen_digest:
         raise RuntimeError("teacher parameters changed during distillation")
     return final

@@ -151,7 +151,7 @@ def test_loss_degeneracies():
                        time_dim=8, hidden=(16,), seed=2)
     student = init_student_from_teacher(teacher)
     # give the student genuine s-dependence before checking the degeneracies
-    w = student.parameters()["s_emb.W"]
+    w = student.params["s_emb.W"]
     student.set_parameter("s_emb.W", Tensor(w.data + 0.2, requires_grad=True))
     rng = np.random.default_rng(2)
     n = 8
@@ -167,10 +167,10 @@ def test_loss_degeneracies():
                        np.random.default_rng(3), ratio_r=0.5)
     loss = mfd_loss(student, teacher, batch, CfgConfig(mode="teacher_neg", w=6.0),
                     LossConfig())
-    for p in teacher.parameters().values():
+    for p in teacher.params.values():
         p.grad = None
     loss.backward()
-    teacher_grads_zero = all(p.grad is None for p in teacher.parameters().values())
+    teacher_grads_zero = all(p.grad is None for p in teacher.params.values())
 
     z_t = rng.normal(size=(n, 3))
     v_plain = teacher_forward(teacher, z_t, 0.4, lr, 1).data

@@ -9,7 +9,8 @@ import pytest
 
 import mflow
 from mflow.cli import run
-from mflow.training import RunConfig, load_checkpoint, load_teacher, params_digest
+from mflow.training import (CheckpointError, RunConfig, load_checkpoint, load_teacher,
+                            params_digest, save_checkpoint)
 
 
 def base_config(tmp_path, **kw):
@@ -67,6 +68,8 @@ class TestParsingAndErrors:
         ["train-teacher", "--set", "time_dim=7"],
         ["train-teacher", "--set", "hidden=5"],
         ["train-teacher", "--set", "task=toysr", "--set", "hr_size=30"],
+        ["train-teacher", "--set", "task=toysr", "--set", "hr_size=0"],
+        ["train-teacher", "--set", "task=toysr", "--set", "hr_size=-4"],
         ["verify", "--set", "gauss_sigma=0"],
         ["eval", "--set", "gauss_sigma=-1"],
         ["sample", "--steps", "0"],
@@ -298,9 +301,36 @@ class TestInspect:
         config = RunConfig.from_dict(json.loads((out / "config.json").read_text()))
         assert json.loads(lines[0]) == {
             "role": "teacher", "kind": "teacher", "step": 3, "adam_step": 3,
-            "param_count": teacher.param_count(),
-            "params_digest": params_digest(teacher.parameters()),
+            "param_count": teacher.flat.size,
+            "params_digest": params_digest(teacher.params),
             "config_digest": config.digest()}
+
+    @pytest.fixture(scope="class")
+    def teacher_ckpt(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inspect")
+        assert run(["train-teacher", "--config", base_config(tmp, steps=2),
+                    "--out", str(tmp / "run")]) == 0
+        return tmp / "run" / "teacher.ckpt"
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("net_config"),
+        lambda meta: meta["net_config"].update(depth=3),
+        # a checkpoint cannot hand the constructor its own weights
+        lambda meta: meta["net_config"].update(weights={}),
+        lambda meta: meta["net_config"].update(kind="critic"),
+    ], ids=["removed", "unknown-key", "weights-key", "unknown-kind"])
+    def test_bad_net_config_is_refused(self, teacher_ckpt, edit, tmp_path, capsys):
+        tensors, meta = load_checkpoint(teacher_ckpt)
+        edit(meta)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, tensors, meta)
+        with pytest.raises(CheckpointError):
+            load_teacher(bad)
+        capsys.readouterr()
+        assert run(["inspect", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("checkpoint error:") and captured.err.count("\n") == 1
 
     def test_bad_file_exits_3_with_one_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -227,7 +227,7 @@ class TestRfLoss:
         batch = make_batch(rng, n=16)
         loss0 = rf_loss(teacher, batch)
         loss0.backward()
-        for p in teacher.parameters().values():
+        for p in teacher.params.values():
             if p.grad is not None:
                 p.data -= 1e-3 * p.grad
         assert rf_loss(teacher, batch).item() < loss0.item()
@@ -250,7 +250,7 @@ class TestMfdTarget:
         teacher = make_teacher(seed=7)
         student = init_student_from_teacher(teacher)
         # perturb s-embedder so u genuinely depends on s
-        w = student.parameters()["s_emb.W"]
+        w = student.params["s_emb.W"]
         student.set_parameter("s_emb.W", Tensor(w.data + 0.3, requires_grad=True))
         rng = np.random.default_rng(7)
         z = rng.normal(size=(2, 3))
@@ -323,9 +323,9 @@ class TestMfdLoss:
         loss = mfd_loss(student, teacher, batch, CfgConfig(mode="teacher_null", w=1.0),
                         LossConfig())
         loss.backward()
-        assert all(p.grad is None for p in teacher.parameters().values())
+        assert all(p.grad is None for p in teacher.params.values())
         assert any(p.grad is not None and np.any(p.grad != 0)
-                   for p in student.parameters().values())
+                   for p in student.params.values())
 
     @pytest.mark.parametrize("metric", ["squared_l2", "pseudo_huber"])
     @pytest.mark.parametrize("mode", ["gt", "teacher_null"])
@@ -367,7 +367,7 @@ class TestMfdLoss:
         cfg, lc = CfgConfig(mode="teacher_null", w=0.0), LossConfig(metric="squared_l2")
         loss0 = mfd_loss(student, teacher, batch, cfg, lc)
         loss0.backward()
-        for name, p in student.parameters().items():
+        for name, p in student.params.items():
             if p.grad is not None:
                 student.set_parameter(name, Tensor(p.data - 1e-3 * p.grad, requires_grad=True))
         assert mfd_loss(student, teacher, batch, cfg, lc).item() < loss0.item()
@@ -452,11 +452,11 @@ class TestTapeUse:
             out = []
             for loss in (mfd_loss(student, teacher, batch, cfg, LossConfig()),
                          rf_loss(teacher, batch)):
-                for p in [*student.parameters().values(), *teacher.parameters().values()]:
+                for p in [*student.params.values(), *teacher.params.values()]:
                     p.grad = None
                 loss.backward()
-                out.append((_tape_nodes(loss), [p.grad for p in student.parameters().values()],
-                            [p.grad for p in teacher.parameters().values()]))
+                out.append((_tape_nodes(loss), [p.grad for p in student.params.values()],
+                            [p.grad for p in teacher.params.values()]))
             return out
 
         sparse = losses()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import mflow.tensor
-from mflow.nets import (FieldNet, TimeEmbedder, init_student_from_teacher, student_forward,
-                        teacher_forward)
+from mflow.nets import FieldNet, init_student_from_teacher, student_forward, teacher_forward
 from mflow.tensor import Tensor, jvp
 
 
@@ -14,33 +13,33 @@ def small_teacher(**kw):
     return FieldNet("teacher", **args)
 
 
-class TestTimeEmbedder:
+class TestTimeFeatures:
     def test_requires_even_dim(self):
-        with pytest.raises(ValueError):
-            TimeEmbedder(7)
+        with pytest.raises(ValueError, match="even"):
+            small_teacher(time_dim=7)
 
     def test_raw_feature_shape_and_range(self):
-        emb = TimeEmbedder(8)
-        feats = emb.raw_features(Tensor(np.array([[0.25], [0.75]])))
+        net = small_teacher()
+        feats = net._time_features(Tensor(np.array([[0.25], [0.75]])))
         assert feats.shape == (2, 8)
         assert np.all(np.abs(feats.data) <= 1.0)
 
     def test_time_scale_amplifies_derivative_exactly(self):
         # d/dt sin(f c t) = f c cos(f c t): at t = 0 the raw-feature time
         # derivative under c_noise = 1000 is exactly 1000x the c_noise = 1 one.
-        e1 = TimeEmbedder(8, c_noise=1.0)
-        e1000 = TimeEmbedder(8, c_noise=1000.0)
+        n1 = small_teacher(c_noise=1.0)
+        n1000 = small_teacher(c_noise=1000.0)
         t = Tensor(np.zeros((1, 1)), tangent=np.ones((1, 1)))
-        tan1 = e1.raw_features(t).tangent
-        tan1000 = e1000.raw_features(t).tangent
+        tan1 = n1._time_features(t).tangent
+        tan1000 = n1000._time_features(t).tangent
         np.testing.assert_array_equal(tan1000, 1000.0 * tan1)
 
     def test_frequencies_geometric(self):
-        emb = TimeEmbedder(8)
-        ratios = emb.freqs[1:] / emb.freqs[:-1]
+        net = small_teacher()
+        ratios = net.freqs[1:] / net.freqs[:-1]
         np.testing.assert_allclose(ratios, ratios[0])
-        assert emb.freqs[0] == pytest.approx(2 * np.pi)
-        assert emb.freqs[-1] == pytest.approx(2 * np.pi * 32.0)
+        assert net.freqs[0] == pytest.approx(2 * np.pi)
+        assert net.freqs[-1] == pytest.approx(2 * np.pi * 32.0)
 
 
 class TestFieldNet:
@@ -77,13 +76,23 @@ class TestFieldNet:
         np.testing.assert_array_equal(teacher_forward(net, z, 0.3, np.zeros((2, 0)), 1).data,
                                       teacher_forward(clone, z, 0.3, np.zeros((2, 0)), 1).data)
 
+    def test_given_weights_are_copied_not_drawn(self):
+        net = small_teacher(seed=7)
+        weights = {**net.arrays, "unused": np.zeros(3)}  # extra names are ignored
+        clone = FieldNet(**{**net.config(), "seed": 8}, weights=weights)
+        np.testing.assert_array_equal(clone.flat, net.flat)
+        assert not np.shares_memory(clone.flat, net.flat)
+        del weights["gate.b"]
+        with pytest.raises(ValueError, match="missing tensor 'gate.b'"):
+            FieldNet(**net.config(), weights=weights)
+
     def test_set_parameter_roundtrip(self):
         net = small_teacher()
-        for name, p in net.parameters().items():
+        for name, p in net.params.items():
             # the weight is updated in place, so capture the expected value first
             expected = p.data * 2.0
             net.set_parameter(name, Tensor(expected, requires_grad=True))
-            np.testing.assert_array_equal(net.parameters()[name].data, expected)
+            np.testing.assert_array_equal(net.params[name].data, expected)
         with pytest.raises(KeyError):
             net.set_parameter("nonexistent", Tensor(np.zeros(1)))
         with pytest.raises(ValueError, match="shape"):
@@ -94,12 +103,12 @@ class TestFieldNet:
         net = (init_student_from_teacher(small_teacher(lr_dim=4)) if kind == "clone" else
                FieldNet(kind, z_dim=3, lr_dim=4, num_content=2, cond_dim=8, time_dim=8,
                         hidden=(16,)))
-        assert net.flat.shape == (net.param_count(),)
-        assert net.param_count() == sum(p.size for p in net.parameters().values())
-        assert list(net.views(net.flat)) == list(net.parameters())
+        assert net.flat.ndim == 1
+        assert net.flat.size == sum(p.size for p in net.params.values())
+        assert list(net.views(net.flat)) == list(net.params)
         net.flat[:] = np.arange(net.flat.size)
         start = 0
-        for name, p in net.parameters().items():
+        for name, p in net.params.items():
             assert np.shares_memory(p.data, net.flat), name
             np.testing.assert_array_equal(p.data.ravel(), np.arange(start, start + p.size))
             start += p.size
@@ -122,7 +131,7 @@ class TestFieldNet:
             if i == 2:
                 w *= 0.1
             drawn[f"layer{i}.W"] = w
-        for name, p in net.parameters().items():
+        for name, p in net.params.items():
             np.testing.assert_array_equal(p.data, drawn.get(name, np.zeros(shapes[name])))
 
     def test_all_parameters_receive_gradients(self):
@@ -131,13 +140,13 @@ class TestFieldNet:
         out = teacher_forward(net, rng.normal(size=(4, 3)), rng.random(4),
                               np.zeros((4, 0)), [0, 1, 0, 1])
         (out * out).sum().backward()
-        for name, p in net.parameters().items():
+        for name, p in net.params.items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0.0) or name == "cond_table", name
 
     def test_param_count_consistent(self):
         net = small_teacher()
-        assert net.param_count() == sum(p.size for p in net.parameters().values())
+        assert net.flat.size == sum(p.size for p in net.params.values())
 
     def test_forward_is_deterministic(self):
         net = small_teacher(seed=3)
@@ -193,13 +202,13 @@ class TestStudentInit:
     def test_student_has_extra_s_embedder_params(self):
         teacher = small_teacher()
         student = init_student_from_teacher(teacher)
-        extra = set(student.parameters()) - set(teacher.parameters())
+        extra = set(student.params) - set(teacher.params)
         assert extra == {"s_emb.W", "s_emb.b"}
-        np.testing.assert_array_equal(student.parameters()["s_emb.W"].data, 0.0)
+        np.testing.assert_array_equal(student.params["s_emb.W"].data, 0.0)
 
     def test_student_depends_on_s_after_perturbation(self):
         student = init_student_from_teacher(small_teacher(seed=5))
-        w = student.parameters()["s_emb.W"]
+        w = student.params["s_emb.W"]
         student.set_parameter("s_emb.W", Tensor(w.data + 0.5, requires_grad=True))
         z = np.random.default_rng(1).normal(size=(2, 3))
         a = student_forward(student, z, 0.2, 0.4, np.zeros((2, 0)), 0).data
@@ -222,7 +231,7 @@ class TestSharedTime:
         rng = np.random.default_rng(8)
         if kind == "student":
             net = init_student_from_teacher(net)
-            w = net.parameters()["s_emb.W"]
+            w = net.params["s_emb.W"]
             net.set_parameter("s_emb.W", Tensor(rng.normal(size=w.shape), requires_grad=True))
         z = rng.normal(size=(self.B, 3))
         z_lr = rng.normal(size=(self.B, lr_dim))
@@ -249,10 +258,10 @@ class TestSharedTime:
         weights = np.random.default_rng(9).normal(size=(self.B, 3))
         grads = []
         for t, s in ((0.3, 0.8), (self.per_row(0.3), self.per_row(0.8))):
-            for p in net.parameters().values():
+            for p in net.params.values():
                 p.grad = None
             (self.forward(case, t, s) * Tensor(weights)).sum().backward()
-            grads.append({name: p.grad for name, p in net.parameters().items()})
+            grads.append({name: p.grad for name, p in net.params.items()})
         for name in grads[0]:
             np.testing.assert_allclose(grads[0][name], grads[1][name], **self.TOL,
                                        err_msg=name)

@@ -475,7 +475,7 @@ class TestTrainingLoops:
                                 resume=str(tmp_path / "half" / "teacher_step10.ckpt"))
         t1 = load_teacher(straight)
         t2 = load_teacher(resumed)
-        assert params_digest(t1.parameters()) == params_digest(t2.parameters())
+        assert params_digest(t1.params) == params_digest(t2.params)
 
     def test_resume_keeps_earlier_log_rows(self, tmp_path):
         cfg = tiny_config(steps=6, log_every=1, ckpt_every=3)
@@ -502,17 +502,17 @@ class TestTrainingLoops:
         for step in range(cfg.steps):
             adam.lr = _lr_at(cfg, step)
             loss = rf_loss(net, make_batch(dataset, cfg.batch_size, rng, ratio_r=0.0))
-            for p in net.parameters().values():
+            for p in net.params.values():
                 p.grad = None
             loss.backward()
             grads = {name: p.grad if p.grad is not None else np.zeros(p.shape)
-                     for name, p in net.parameters().items()}
+                     for name, p in net.params.items()}
             _, scale = reference_clip(grads, cfg.grad_clip)
             clipped.append(scale < 1.0)
-            for name, p in adam.step(net.parameters(), grads, scale).items():
+            for name, p in adam.step(net.params, grads, scale).items():
                 net.set_parameter(name, p)
         assert any(clipped) and not all(clipped)
-        expected = {name: p.data for name, p in net.parameters().items()}
+        expected = {name: p.data for name, p in net.params.items()}
         expected.update(adam.state_arrays())
         tensors, meta = load_checkpoint(path)
         assert sorted(tensors) == sorted(expected)
@@ -566,9 +566,9 @@ class TestTrainingLoops:
         teacher = load_teacher(t_path)
         student = init_student_from_teacher(teacher)
         tensors = load_checkpoint(t_path)[0]
-        for name, p in teacher.parameters().items():
+        for name, p in teacher.params.items():
             np.testing.assert_array_equal(p.data, tensors[name])
-            np.testing.assert_array_equal(student.parameters()[name].data, p.data)
+            np.testing.assert_array_equal(student.params[name].data, p.data)
 
     def test_distill_rejects_mismatched_dataset(self, tmp_path):
         t_path = train_teacher(tiny_config(steps=5), tmp_path / "t")
@@ -667,7 +667,8 @@ class TestResumeRefusal:
         return out / "teacher_step2.ckpt"
 
     def resume(self, ckpt, out, **kw):
-        return train_teacher(tiny_config(steps=4, ckpt_every=2, **kw), out, resume=str(ckpt))
+        return train_teacher(tiny_config(**{"steps": 4, "ckpt_every": 2, **kw}), out,
+                             resume=str(ckpt))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda tensors, meta: tensors.pop("adam.m.layer0.W"),
@@ -689,6 +690,14 @@ class TestResumeRefusal:
         s_path = distill_student(tiny_config(steps=2), half, tmp_path / "s")
         with pytest.raises(CheckpointError, match="does not hold a teacher checkpoint"):
             self.resume(s_path, tmp_path / "out")
+        assert not (tmp_path / "out" / "teacher.ckpt").exists()
+
+    @pytest.mark.parametrize("change", [{"steps": 2}, {"batch_size": 4, "lr": 2e-3, "seed": 5}],
+                             ids=["fewer-steps", "other-batch-lr-seed"])
+    def test_config_other_than_the_checkpoints(self, half, tmp_path, change):
+        # the net fits either config, but the run it continues is not the one saved
+        with pytest.raises(CheckpointError, match="another config"):
+            self.resume(half, tmp_path / "out", **change)
         assert not (tmp_path / "out" / "teacher.ckpt").exists()
 
     def test_config_unlike_checkpoint(self, half, tmp_path):
