@@ -12,6 +12,7 @@ line.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,14 @@ from .oracle import AnalyticFlow, identity_residual_grid, write_residual_csv
 from .sampling import sample_student, sr_restore, steps_sweep, write_sweep_csv
 from .training import (CheckpointError, NumericalAbort, RunConfig, check_dataset,
                        describe_checkpoint, distill_student, load_student, train_teacher)
+
+
+try:  # glibc's malloc_trim(0) hands the heap's free pages back to the OS
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # a C library without it hands nothing back
+    def _malloc_trim(pad: int) -> int:
+        return 0
 
 
 class UsageError(Exception):
@@ -203,6 +212,13 @@ def _cmd_eval(args, config: RunConfig, out: Path) -> int:
 
 
 def run(argv: list[str]) -> int:
+    """Run one command; returns its exit code.
+
+    Free heap pages go back to the OS before and after: a process running many
+    commands would keep tens of MB of free heap, and whether a later large
+    allocation fits in it or adds to the peak memory varies from run to run.
+    """
+    _malloc_trim(0)
     parser = build_parser()
     try:
         if not argv:
@@ -248,6 +264,8 @@ def run(argv: list[str]) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        _malloc_trim(0)
 
 
 def main() -> None:

@@ -50,8 +50,8 @@ class FlowBatch:
     z1: np.ndarray      # (B, D) data endpoint
     z_lr: np.ndarray    # (B, D_lr) flattened LR features (width 0 when unused)
     labels: np.ndarray  # (B,) condition ids
-    t: np.ndarray       # (B,)
-    s: np.ndarray       # (B,)
+    t: np.ndarray       # (B, 1) start times
+    s: np.ndarray       # (B, 1) end times
 
 
 def gen_2d(dist_name: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,7 +216,7 @@ def _degrade_stack(hr: np.ndarray, params: DegradeParams,
     """``degrade`` of an (m, h, w) stack, with each image's noise given."""
     m, h, w = hr.shape
     k = params.scale
-    x = gaussian_blur(hr, params.blur_sigma) if params.blur_sigma > 0 else hr
+    x = gaussian_blur(hr, params.blur_sigma)
     x = x.reshape(m, h // k, k, w // k, k).mean(axis=(2, 4))
     if params.quant_levels >= 2:
         levels = params.quant_levels - 1
@@ -356,10 +356,10 @@ def build_sr_pool(dataset: ToySrDataset, n: int, base_seed: int) -> list[SrPair]
 
 
 def sample_timestep_batch(rng: np.random.Generator, n: int, ratio_r: float):
-    """n pairs: t ~ U[0,1]; with probability ratio_r s ~ U[t,1], else s = t."""
-    t = rng.random(n)
-    gate = rng.random(n)
-    q = rng.random(n)
+    """n pairs as (n, 1) columns: t ~ U[0,1]; with probability ratio_r s ~ U[t,1], else s = t."""
+    t = rng.random((n, 1))
+    gate = rng.random((n, 1))
+    q = rng.random((n, 1))
     s = np.where(gate < ratio_r, t + q * (1.0 - t), t)
     return t, s
 
@@ -425,7 +425,8 @@ def read_pgm(path) -> np.ndarray:
     fields, with ``#`` comments allowed between them; exactly one whitespace
     byte follows maxval. Raises ValueError, naming the file, for another
     format, a missing or non-integer field, a maxval outside 1..255 (two
-    bytes per pixel) or a pixel block that is not w * h bytes.
+    bytes per pixel), a pixel block that is not w * h bytes or a pixel
+    above maxval.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -446,7 +447,10 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"PGM maxval {maxval} is not in 1..255: {path}")
     if len(pixels) != w * h:
         raise ValueError(f"PGM pixel block has {len(pixels)} bytes, expected {w} * {h}: {path}")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).astype(np.float64) / maxval
+    gray = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
+    if np.any(gray > maxval):
+        raise ValueError(f"PGM has a pixel above maxval {maxval}: {path}")
+    return gray.astype(np.float64) / maxval
 
 
 def write_manifest(path, pairs: list[SrPair], params: DegradeParams) -> None:

@@ -74,26 +74,25 @@ class LossConfig:
 
 
 def interpolate(z0, z1, t):
-    """Linear bridge (1 - t) z0 + t z1; t may be scalar or per-sample."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    z1 = np.asarray(z1, dtype=np.float64)
+    """Linear bridge (1 - t) z0 + t z1; t is a scalar or a (B, 1) column (a 1-d t
+    is refused: numpy would pair it with z's columns)."""
     if z0.shape != z1.shape:
         raise ValueError(f"endpoint shapes differ: {z0.shape} vs {z1.shape}")
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 1 and z0.ndim == 2:
-        t = t[:, None]
+    if np.ndim(t) == 1:
+        raise ValueError(f"t of shape {np.shape(t)} is not a scalar or a (B, 1) column")
     return (1.0 - t) * z0 + t * z1
 
 
 def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
-                 student: FieldNet | None = None, z0=None, z1=None) -> np.ndarray:
+                 student: FieldNet | None, z0, z1) -> np.ndarray:
     """Instantaneous-velocity formulation selected by ``cfg.mode``.
 
     The teacher modes guide against the teacher's reserved row by id
     (``null_id`` / ``negative_id``): v_c + w (v_c - v_ref). Both calls run even
     at w = 0, where v_ref is multiplied by zero: the benchmark pins that waste
     as ``flow.cfg_velocity.useful_ratio`` (0.5 on gauss), so skipping the call
-    waits for a change of the benchmark.
+    waits for a change of the benchmark. Each mode reads only its own nets and
+    endpoints; the others may be None.
 
     Returns a plain array: the result always feeds the stop-gradded target,
     so nothing here participates in parameter gradients. The net calls (the
@@ -101,21 +100,16 @@ def cfg_velocity(teacher: FieldNet | None, z, t, z_lr, c, cfg: CfgConfig,
     pass ``tape=False`` and run on plain arrays: same values, no Tensor per op.
     """
     if cfg.mode == "gt":
-        if z0 is None or z1 is None:
-            raise ValueError("gt mode requires the endpoint pair (z0, z1)")
-        return np.asarray(z1, dtype=np.float64) - np.asarray(z0, dtype=np.float64)
+        return z1 - z0
     if cfg.mode in ("teacher_null", "teacher_neg"):
         ref = teacher.null_id if cfg.mode == "teacher_null" else teacher.negative_id
         v_c = teacher_forward(teacher, z, t, z_lr, c, tape=False)
         v_ref = teacher_forward(teacher, z, t, z_lr, ref, tape=False)
         return v_c + cfg.w * (v_c - v_ref)
     # original_mf: self-referential CFG through the student at s = t
-    if student is None or z0 is None or z1 is None:
-        raise ValueError("original_mf mode requires the student and the endpoint pair (z0, z1)")
     u_c = student_forward(student, z, t, t, z_lr, c, tape=False)
     u_null = student_forward(student, z, t, t, z_lr, student.null_id, tape=False)
-    gt = np.asarray(z1, dtype=np.float64) - np.asarray(z0, dtype=np.float64)
-    return cfg.w * gt + cfg.kappa * u_c + (1.0 - cfg.w - cfg.kappa) * u_null
+    return cfg.w * (z1 - z0) + cfg.kappa * u_c + (1.0 - cfg.w - cfg.kappa) * u_null
 
 
 def _student_jvp(student: FieldNet, z, t, s, z_lr, c, v_inst):
@@ -127,27 +121,23 @@ def _student_jvp(student: FieldNet, z, t, s, z_lr, c, v_inst):
     with two hidden layers, this one included), so dropping the zero tangent
     waits for a change of the benchmark.
     """
-    z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (n, 1))
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64).reshape(-1, 1), (n, 1))
     return jvp(lambda zz, tt, ss: student_forward(student, zz, tt, ss, z_lr, c),
                (z, t, s), (v_inst, np.ones((n, 1)), np.zeros((n, 1))))
 
 
-def mfd_target(student: FieldNet, v_inst, z, t, s, z_lr, c) -> tuple[Tensor, Tensor]:
-    """(u(z,t,s), stop-gradded target v_inst + (s - t) du/dt) from one dual pass."""
-    v_inst = np.asarray(v_inst, dtype=np.float64)
+def mfd_target(student: FieldNet, v_inst, z, t, s, z_lr, c) -> tuple[Tensor, np.ndarray]:
+    """(u(z,t,s), v_inst + (s - t) du/dt) from one dual pass; the target is a
+    plain array, and an array gets no gradient, so it is the stop-gradient."""
     u, dudt = _student_jvp(student, z, t, s, z_lr, c, v_inst)
-    gap = np.asarray(s, dtype=np.float64).reshape(-1, 1) - np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    return u, Tensor(v_inst + gap * dudt)
+    return u, v_inst + (s - t) * dudt
 
 
 def rf_loss(teacher: FieldNet, batch) -> Tensor:
     """Mean over the batch of ||v(z_t, t | lr, c) - (z1 - z0)||^2."""
     z_t = interpolate(batch.z0, batch.z1, batch.t)
     pred = teacher_forward(teacher, z_t, batch.t, batch.z_lr, batch.labels)
-    diff = pred - Tensor(batch.z1 - batch.z0)
+    diff = pred - (batch.z1 - batch.z0)
     return (diff * diff).sum(axis=1).mean()
 
 
@@ -158,11 +148,11 @@ def mfd_loss(student: FieldNet, teacher, batch, cfg: CfgConfig, loss_cfg: LossCo
     flow only through the student prediction; the target (and everything the
     teacher computed) is a constant.
     """
-    t, s = np.asarray(batch.t, dtype=np.float64), np.asarray(batch.s, dtype=np.float64)
-    z_t = interpolate(batch.z0, batch.z1, t)
-    v_inst = cfg_velocity(teacher, z_t, t, batch.z_lr, batch.labels, cfg,
-                          student=student, z0=batch.z0, z1=batch.z1)
-    u_pred, target = mfd_target(student, v_inst, z_t, t, s, batch.z_lr, batch.labels)
+    z_t = interpolate(batch.z0, batch.z1, batch.t)
+    v_inst = cfg_velocity(teacher, z_t, batch.t, batch.z_lr, batch.labels, cfg,
+                          student, batch.z0, batch.z1)
+    u_pred, target = mfd_target(student, v_inst, z_t, batch.t, batch.s, batch.z_lr,
+                                batch.labels)
     diff = u_pred - target
     per_sample = (diff * diff).sum(axis=1)
     if loss_cfg.metric == "squared_l2":

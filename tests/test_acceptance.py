@@ -157,11 +157,11 @@ def test_loss_degeneracies():
     n = 8
     z = rng.normal(size=(n, 3))
     v = rng.normal(size=(n, 3))
-    t = rng.random(n)
+    t = rng.random((n, 1))
     lr = np.zeros((n, 0))
 
     _, target = mfd_target(student, v, z, t, t, lr, 0)
-    bitwise = np.array_equal(target.data, v)
+    bitwise = np.array_equal(target, v)
 
     batch = make_batch(GaussianDataset(dim=3, mu=np.zeros(3)), n,
                        np.random.default_rng(3), ratio_r=0.5)
@@ -175,8 +175,8 @@ def test_loss_degeneracies():
     z_t = rng.normal(size=(n, 3))
     v_plain = teacher_forward(teacher, z_t, 0.4, lr, 1).data
     w0_exact = all(
-        np.array_equal(cfg_velocity(teacher, z_t, 0.4, lr, 1, CfgConfig(mode=m, w=0.0)),
-                       v_plain)
+        np.array_equal(cfg_velocity(teacher, z_t, 0.4, lr, 1, CfgConfig(mode=m, w=0.0),
+                                    None, None, None), v_plain)
         for m in ("teacher_null", "teacher_neg"))
 
     ok = bitwise and teacher_grads_zero and w0_exact

@@ -1,5 +1,7 @@
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import mflow
+import mflow.cli
 from mflow.cli import run
 from mflow.training import (CheckpointError, RunConfig, load_checkpoint, load_teacher,
                             params_digest, save_checkpoint)
@@ -42,6 +45,23 @@ def test_cli_import_loads_no_scipy():
 def test_data_module_loads_no_other_mflow_module():
     # datasets and batches stand apart from the nets, the losses and the engine
     assert _modules_loaded_by("mflow.data", "mflow.") == ["mflow.data"]
+
+
+def test_every_command_starts_and_ends_handing_free_heap_back(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(mflow.cli, "_malloc_trim", calls.append)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"task": "gen2d", "dist": "ring", "seed": 2}))
+    assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    assert run([]) == 1
+    assert run(["gen-data", "--config", str(tmp_path / "missing.json"),
+                "--out", str(tmp_path / "e")]) == 3
+    assert calls == [0] * 6
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+def test_glibc_trim_is_found():
+    assert mflow.cli._malloc_trim.restype is ctypes.c_int
 
 
 class TestParsingAndErrors:
@@ -276,6 +296,17 @@ class TestGenData:
         assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "hr_000.pgm").exists() and (out / "lr_000.pgm").exists()
         assert (out / "manifest.csv").read_text().startswith("index,seed,class")
+
+    def test_gaussian_points(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"task": "gaussian", "gauss_mu": [3.0, -2.0],
+                                   "gauss_sigma": 0.5, "seed": 4}))
+        out = tmp_path / "d"
+        assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        pts = np.loadtxt(out / "points.csv", delimiter=",", skiprows=1)
+        assert pts.shape == (2048, 2)
+        np.testing.assert_allclose(pts.mean(axis=0), [3.0, -2.0], atol=0.05)
+        np.testing.assert_allclose(pts.std(axis=0), [0.5, 0.5], atol=0.05)
 
 
 class TestCheckpointMeta:

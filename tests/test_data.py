@@ -270,7 +270,7 @@ class TestMakeBatch:
             batch.z1, [[1.034192767253184, 0.8597475403099617],
                        [2.224721078585932, -1.0103070767876674]], atol=1e-15)
         np.testing.assert_allclose(
-            batch.t, [0.9483284532917751, 0.6218835927963828], atol=1e-15)
+            batch.t, [[0.9483284532917751], [0.6218835927963828]], atol=1e-15)
 
     def test_toysr_batch_negative_labels(self):
         ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
@@ -368,6 +368,12 @@ class TestIo:
         path = tmp_path / "cut.pgm"
         path.write_bytes(b"P5\n3 2\n255\n" + bytes(6 + extra))
         with pytest.raises(ValueError, match=r"has \d bytes, expected 3 \* 2.*cut\.pgm"):
+            read_pgm(path)
+
+    def test_read_pgm_rejects_a_pixel_above_maxval(self, tmp_path):
+        path = tmp_path / "bright.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 200]))
+        with pytest.raises(ValueError, match=r"above maxval 100.*bright\.pgm"):
             read_pgm(path)
 
     def test_manifest(self, tmp_path):

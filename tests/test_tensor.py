@@ -145,7 +145,7 @@ class TestBackward:
             np.testing.assert_allclose(w.grad, g_fd, rtol=1e-4, atol=1e-7)
 
     def test_backward_on_detached_gives_zero(self):
-        # a Tensor of another's value is a new leaf, as mfd_target's target is
+        # a Tensor of another's value is a new leaf
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = Tensor((x * x).sum().data)
         loss.backward()  # no error

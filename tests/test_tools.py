@@ -40,3 +40,23 @@ def test_digests_list_every_file_but_the_logs_sorted_by_path(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [f"{hashlib.sha256(tree[name]).hexdigest()}  {name}"
                                         for name in ("a/x.csv", "b.ckpt", "c/d/e.pgm")]
+
+
+# The gauss round's outputs at seed 12345, the same at one and two OpenBLAS
+# threads on a 2-vCPU host: a change that keeps the program's numbers keeps them.
+GAUSS_12345 = {
+    "teacher.ckpt": "e3d08a75dd7de125e03aca778a0665a2b126b6d5df01113999fcd3e5f60077a0",
+    "student.ckpt": "a9d4466b3904ad539a34797b4ef03058513fb041ecc75cc3d40b93ff323e7269",
+    "sweep.csv": "1728d347b22387c0438234564a8cfa5e281dee9348f79182deb12a12896f1ff5",
+    "samples.csv": "e3d5804f431acc4770fb6742946ee5a00bd6f78d988f61fa7be81b5132f4b838",
+    "verify/residual_grid.csv": "be784026082bdbe5eccf322fe2d8dd07ee3a4290d150e6e23ddd66c51b9d290a",
+}
+
+
+def test_gauss_round_outputs_are_pinned(tmp_path):
+    done = subprocess.run([sys.executable, str(TOOL), "gauss", "12345", str(tmp_path / "out")],
+                          capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = set(done.stdout.splitlines())
+    for name, digest in GAUSS_12345.items():
+        assert f"{digest}  {name}" in lines, name
