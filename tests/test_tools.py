@@ -44,7 +44,11 @@ def test_digests_list_every_file_but_the_logs_sorted_by_path(tmp_path):
 
 # The gauss round's outputs at seed 12345, the same at one and two OpenBLAS
 # threads on a 2-vCPU host: a change that keeps the program's numbers keeps them.
+# The ":params" lines pin the weights alone; a checkpoint file's bytes also
+# hold the config, so a config field added or removed moves only the file pins.
 GAUSS_12345 = {
+    "teacher.ckpt:params": "41c4e6562bc564fc3b4cfab529354c678a42fec9066128d49a4217dd0f065fb2",
+    "student.ckpt:params": "311ada31fb3cf66f2722e704aa811bb688faef75af991088adbc406e99ae8db7",
     "teacher.ckpt": "e3d08a75dd7de125e03aca778a0665a2b126b6d5df01113999fcd3e5f60077a0",
     "student.ckpt": "a9d4466b3904ad539a34797b4ef03058513fb041ecc75cc3d40b93ff323e7269",
     "sweep.csv": "1728d347b22387c0438234564a8cfa5e281dee9348f79182deb12a12896f1ff5",

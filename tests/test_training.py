@@ -15,9 +15,9 @@ from mflow.flow import CfgConfig, LossConfig, rf_loss
 from mflow.nets import copy_into, init_student_from_teacher, teacher_forward
 from mflow.tensor import Tensor
 from mflow.training import (ADAM_BLOCK, Adam, CheckpointError, NumericalAbort, RunConfig,
-                            _load_net, _lr_at, _sr_train_pool, clip_gradients, distill_student,
-                            load_checkpoint, load_student, load_teacher, params_digest,
-                            save_checkpoint, train_teacher)
+                            _load_net, _lr_at, _sr_train_pool, clip_gradients, describe_checkpoint,
+                            distill_student, load_checkpoint, load_student, load_teacher,
+                            params_digest, save_checkpoint, train_teacher)
 
 
 def tiny_config(**kw):
@@ -655,6 +655,8 @@ def test_sr_student_bytes_are_pinned(tmp_path):
     student = distill_student(cfg, train_teacher(cfg, tmp_path / "t"), tmp_path / "s")
     assert hashlib.sha256(student.read_bytes()).hexdigest() == (
         "f336b21125a7d6112601e3f630e2cf1fa24a5e59635f57769e08d3349d027c15")
+    assert describe_checkpoint(student)["params_digest"] == (
+        "07345aedd95a834f54dbdb123cb730f5bf062a190187c246e4e6b16893debd92")
 
 
 class TestResumeRefusal:

@@ -8,10 +8,12 @@ The round is the CLI pipeline of ``perfbench/bench_workloads.py`` for the
 workload, with the configs of ``write_configs(workload, SEED, OUT/cfg)``,
 run in this process through ``mflow.cli.run``. Every file is written under
 OUT, which must be empty or absent. The printout names each output file and
-its sha256, except the training logs (``*_log.csv``), which hold wall times,
-and then the value of OPENBLAS_NUM_THREADS and the thread count that
-OpenBLAS reports in force (read as ``perfbench/bench_env.py`` reads it),
-since checkpoint bytes depend on the BLAS thread count.
+its sha256, except the training logs (``*_log.csv``), which hold wall times;
+then each checkpoint's ``params_digest`` as ``mflow inspect`` prints it (the
+weights alone, which no config field moves); and then the value of
+OPENBLAS_NUM_THREADS and the thread count that OpenBLAS reports in force
+(read as ``perfbench/bench_env.py`` reads it), since checkpoint bytes depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ sys.dont_write_bytecode = True  # leave no cache files beside the modules
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import mflow.cli  # noqa: E402
+from mflow.training import describe_checkpoint  # noqa: E402
 from bench_env import _openblas  # noqa: E402
 from bench_workloads import WORKLOADS, write_configs  # noqa: E402
 
@@ -52,6 +55,12 @@ def digests(out: Path) -> list[str]:
             if path.is_file() and not path.name.endswith("_log.csv")]
 
 
+def params_digests(out: Path) -> list[str]:
+    """One "params_digest  path:params" line per checkpoint under ``out``, sorted."""
+    return [f"{describe_checkpoint(path)['params_digest']}  {path.relative_to(out)}:params"
+            for path in sorted(out.rglob("*.ckpt"))]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("workload", choices=list(WORKLOADS))
@@ -61,7 +70,7 @@ def main(argv=None) -> int:
     if args.out.exists() and any(args.out.iterdir()):
         p.error(f"{args.out} is not empty")
     run_round(args.workload, args.seed, args.out)
-    print("\n".join(digests(args.out)))
+    print("\n".join(digests(args.out) + params_digests(args.out)))
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}")
     print(f"openblas_threads_in_force={_openblas()['threads']}")
     return 0
