@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Gen2dDataset, build_sr_pool, gen_2d, write_manifest, write_pgm)
+from .data import build_sr_pool, write_manifest, write_pgm
 from .oracle import AnalyticFlow, identity_residual_grid, write_residual_csv
 from .sampling import sample_student, sr_restore, steps_sweep, write_sweep_csv
 from .training import (CheckpointError, NumericalAbort, RunConfig, check_dataset,
@@ -131,6 +131,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_verify(args, config: RunConfig, out: Path) -> int:
+    if config.task != "gaussian":
+        raise UsageError(f"verify needs task gaussian, got {config.task!r}")
     flow = AnalyticFlow(dim=len(config.gauss_mu), mu=np.asarray(config.gauss_mu),
                         sigma=config.gauss_sigma)
     k = args.grid
@@ -152,7 +154,6 @@ def _cmd_verify(args, config: RunConfig, out: Path) -> int:
 
 
 def _cmd_gen_data(args, config: RunConfig, out: Path) -> int:
-    rng = np.random.default_rng(config.seed)
     dataset = config.dataset()
     if config.task == "toysr":
         pool = build_sr_pool(dataset, 16, config.seed)
@@ -162,10 +163,8 @@ def _cmd_gen_data(args, config: RunConfig, out: Path) -> int:
         write_manifest(out / "manifest.csv", pool, dataset.params)
         print(f"wrote {len(pool)} HR/LR pairs to {out}")
     else:
-        if isinstance(dataset, Gen2dDataset):
-            pts = gen_2d(dataset.name, 2048, rng)
-        else:
-            pts = dataset.mu + dataset.sigma * rng.standard_normal((2048, dataset.dim))
+        rng = np.random.default_rng(config.seed)
+        pts = dataset.mu + dataset.sigma * rng.standard_normal((2048, dataset.dim))
         np.savetxt(out / "points.csv", pts, delimiter=",",
                    header=",".join(f"x{i}" for i in range(pts.shape[1])), comments="")
         print(f"wrote {pts.shape[0]} points to {out / 'points.csv'}")

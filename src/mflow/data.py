@@ -1,4 +1,4 @@
-"""Desk-scale datasets: 2-D point clouds and a miniature super-resolution task.
+"""Desk-scale datasets: an analytic Gaussian and a miniature super-resolution task.
 
 HR images are procedural grayscale patterns whose class label stands in for
 a text prompt; LR counterparts come from a small blur/downsample/noise
@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-GEN2D_NAMES = ("checkerboard", "two_moons", "ring")
 # Pairs per chunk of an SR pool build: the chunk's blur temporaries stay in cache.
 POOL_CHUNK = 64
 
@@ -52,31 +51,6 @@ class FlowBatch:
     labels: np.ndarray  # (B,) condition ids
     t: np.ndarray       # (B, 1) start times
     s: np.ndarray       # (B, 1) end times
-
-
-def gen_2d(dist_name: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. samples from a named 2-D toy distribution, shape (n, 2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if dist_name == "ring":
-        theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        radius = 1.0 + rng.uniform(-0.05, 0.05, n)
-        return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-    if dist_name == "checkerboard":
-        # even-parity cells of a 4x4 grid over [-2, 2]^2
-        cells = np.array([(i, j) for i in range(4) for j in range(4) if (i + j) % 2 == 0],
-                         dtype=np.float64)
-        picks = rng.integers(0, len(cells), n)
-        offs = rng.uniform(0.0, 1.0, (n, 2))
-        return (-2.0 + cells[picks]) + offs
-    if dist_name == "two_moons":
-        half = rng.random(n) < 0.5
-        theta = rng.uniform(0.0, np.pi, n)
-        x = np.where(half, np.cos(theta), 1.0 - np.cos(theta))
-        y = np.where(half, np.sin(theta), 0.5 - np.sin(theta))
-        noise = rng.normal(0.0, 0.05, (n, 2))
-        return np.stack([x, y], axis=1) + noise
-    raise ValueError(f"unknown 2-D distribution {dist_name!r}; valid: {GEN2D_NAMES}")
 
 
 # Largest dot count of a class-2 pattern, and the width of a row of pattern draws.
@@ -266,18 +240,6 @@ def from_signal(z: np.ndarray) -> np.ndarray:
 # -- dataset configs ---------------------------------------------------------
 
 @dataclass
-class Gen2dDataset:
-    name: str = "two_moons"
-    z_dim: int = 2
-    lr_dim: int = 0
-    num_content: int = 1
-
-    def __post_init__(self):
-        if self.name not in GEN2D_NAMES:
-            raise ValueError(f"unknown 2-D distribution {self.name!r}; valid: {GEN2D_NAMES}")
-
-
-@dataclass
 class GaussianDataset:
     """Analytic Gaussian target N(mu, sigma^2 I); pairs with the exact oracle."""
     dim: int = 2
@@ -368,11 +330,7 @@ def make_batch(dataset, batch_size: int, rng: np.random.Generator,
                ratio_r: float = 0.5, neg_pair_prob: float = 0.0,
                pool: list[SrPair] | None = None) -> FlowBatch:
     """Bundle (noise, data, LR, labels, timestep pair) for one training step."""
-    if isinstance(dataset, Gen2dDataset):
-        z1 = gen_2d(dataset.name, batch_size, rng)
-        z_lr = np.zeros((batch_size, 0))
-        labels = np.zeros(batch_size, dtype=np.int64)
-    elif isinstance(dataset, GaussianDataset):
+    if isinstance(dataset, GaussianDataset):
         z1 = dataset.mu + dataset.sigma * rng.standard_normal((batch_size, dataset.dim))
         z_lr = np.zeros((batch_size, 0))
         labels = np.zeros(batch_size, dtype=np.int64)

@@ -6,7 +6,7 @@ import csv
 
 import numpy as np
 
-from .data import GaussianDataset, Gen2dDataset, SrPair, ToySrDataset, from_signal, gen_2d, to_signal
+from .data import GaussianDataset, SrPair, ToySrDataset, from_signal, to_signal
 from .nets import FieldNet, student_forward
 from .oracle import AnalyticFlow
 
@@ -62,18 +62,6 @@ def moment_distance(samples: np.ndarray, flow: AnalyticFlow) -> tuple[float, flo
     return mean_err, cov_err
 
 
-def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Energy distance between two point clouds (2 E‖X-Y‖ - E‖X-X'‖ - E‖Y-Y'‖)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-
-    def mean_dist(a, b):
-        d = np.sqrt(np.maximum(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1), 0.0))
-        return float(d.mean())
-
-    return 2.0 * mean_dist(x, y) - mean_dist(x, x) - mean_dist(y, y)
-
-
 def hf_band_energy(img: np.ndarray, cutoff_frac: float = 0.25) -> float:
     """Mean spectral power above a radial frequency cutoff (fraction of Nyquist)."""
     img = np.asarray(img, dtype=np.float64)
@@ -118,25 +106,20 @@ def steps_sweep(student, dataset, n_list, seed: int, n_samples: int,
                 pool: list[SrPair] | None = None) -> list[dict]:
     """Evaluate the student at several step counts; one CSV row per metric.
 
-    Metric depends on the dataset: moment errors for the Gaussian task,
-    energy distance for 2-D point clouds, PSNR over an SR pool. Values are
-    reported, never ranked. Each step count draws its noise once and makes
-    one sampler call; for SR, ``sr_restore`` restores all held-out pairs
-    together.
+    Metric depends on the dataset: moment errors for the Gaussian task, PSNR
+    over an SR pool. Values are reported, never ranked. Each step count
+    draws its noise once and makes one sampler call; for SR, ``sr_restore``
+    restores all held-out pairs together.
     """
     rows = []
     for n in n_list:
         rng = np.random.default_rng(seed)
         count = n_samples
-        if isinstance(dataset, (GaussianDataset, Gen2dDataset)):
+        if isinstance(dataset, GaussianDataset):
             z0 = rng.standard_normal((n_samples, dataset.z_dim))
             out = sample_student(student, z0, np.zeros((n_samples, 0)), 0, n)
-            if isinstance(dataset, GaussianDataset):
-                flow = AnalyticFlow(dim=dataset.dim, mu=dataset.mu, sigma=dataset.sigma)
-                metrics = dict(zip(("mean_err", "cov_err"), moment_distance(out, flow)))
-            else:
-                ref = gen_2d(dataset.name, n_samples, rng)
-                metrics = {"energy_distance": energy_distance(out, ref)}
+            flow = AnalyticFlow(dim=dataset.dim, mu=dataset.mu, sigma=dataset.sigma)
+            metrics = dict(zip(("mean_err", "cov_err"), moment_distance(out, flow)))
         else:
             if pool is None:
                 raise ValueError("SR sweeps need a held-out pair pool")

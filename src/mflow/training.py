@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DegradeParams, Gen2dDataset, GaussianDataset, ToySrDataset,
-                   build_sr_pool, make_batch)
+from .data import DegradeParams, GaussianDataset, ToySrDataset, build_sr_pool, make_batch
 from .flow import CfgConfig, LossConfig, check_numbers, is_number, mfd_loss, rf_loss
 from .nets import FieldNet, copy_into, init_student_from_teacher
 from .tensor import Tensor
@@ -260,8 +259,7 @@ _FLOAT_FIELDS = ("lr", "lr_final", "grad_clip", "teacher_c_noise", "gauss_sigma"
 @dataclass
 class RunConfig:
     """Full experiment description; serialized next to every artifact."""
-    task: str = "gen2d"          # gen2d | gaussian | toysr
-    dist: str = "two_moons"      # gen2d distribution name
+    task: str = "gaussian"       # gaussian | toysr
     seed: int = 0
     steps: int = 2000
     batch_size: int = 64
@@ -291,7 +289,7 @@ class RunConfig:
     train_pool: int = 0          # > 0: pregenerate this many SR pairs for training
 
     def __post_init__(self):
-        if self.task not in ("gen2d", "gaussian", "toysr"):
+        if self.task not in ("gaussian", "toysr"):
             raise ValueError(f"unknown task {self.task!r}")
         not_int = [name for name in _INT_FIELDS if type(getattr(self, name)) is not int]
         if not_int:
@@ -353,8 +351,6 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def dataset(self):
-        if self.task == "gen2d":
-            return Gen2dDataset(name=self.dist)
         if self.task == "gaussian":
             return GaussianDataset(dim=len(self.gauss_mu),
                                    mu=np.asarray(self.gauss_mu, dtype=np.float64),

@@ -6,22 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
-from mflow.data import (POOL_CHUNK, DegradeParams, Gen2dDataset, GaussianDataset,
-                        ToySrDataset, build_sr_pool, degrade, extra_degrade,
-                        from_signal, gaussian_blur, gen_2d, gen_pattern, make_batch,
-                        read_pgm, to_signal, write_manifest, write_pgm)
-
-
-def checkerboard_loop(n, rng):
-    """The per-point loop that gen_2d("checkerboard") replaced; the reference."""
-    cells = [(i, j) for i in range(4) for j in range(4) if (i + j) % 2 == 0]
-    picks = rng.integers(0, len(cells), n)
-    offs = rng.uniform(0.0, 1.0, (n, 2))
-    out = np.empty((n, 2))
-    for k, p in enumerate(picks):
-        i, j = cells[p]
-        out[k] = (-2.0 + i + offs[k, 0], -2.0 + j + offs[k, 1])
-    return out
+from mflow.data import (POOL_CHUNK, DegradeParams, GaussianDataset, ToySrDataset,
+                        build_sr_pool, degrade, extra_degrade, from_signal, gaussian_blur,
+                        gen_pattern, make_batch, read_pgm, to_signal, write_manifest,
+                        write_pgm)
 
 
 def reference_pair(ds, class_id, seed):
@@ -44,50 +32,6 @@ def dot_count(seed):
     rng = np.random.default_rng(seed)
     rng.uniform(0.3, 0.7, 2)
     return int(rng.integers(2, 5))
-
-
-class TestGen2d:
-    def test_shapes_and_determinism(self):
-        for name in ("ring", "checkerboard", "two_moons"):
-            a = gen_2d(name, 16, np.random.default_rng(7))
-            b = gen_2d(name, 16, np.random.default_rng(7))
-            assert a.shape == (16, 2)
-            np.testing.assert_array_equal(a, b)
-
-    def test_ring_radii(self):
-        pts = gen_2d("ring", 2000, np.random.default_rng(0))
-        r = np.linalg.norm(pts, axis=1)
-        assert np.all((r >= 0.95) & (r <= 1.05))
-
-    def test_checkerboard_parity_invariant(self):
-        pts = gen_2d("checkerboard", 5000, np.random.default_rng(1))
-        ij = np.floor(pts + 2.0).astype(int)  # the grid cell of each point
-        assert np.all((ij[:, 0] + ij[:, 1]) % 2 == 0)
-        assert np.all((pts >= -2.0) & (pts <= 2.0))
-
-    @pytest.mark.parametrize("n", [1, 7, 256, 4096])
-    def test_checkerboard_matches_the_loop(self, n):
-        for seed in range(50):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            np.testing.assert_array_equal(gen_2d("checkerboard", n, rng),
-                                          checkerboard_loop(n, ref_rng))
-            assert rng.random() == ref_rng.random()  # same draws consumed
-
-    def test_two_moons_two_clusters(self):
-        pts = gen_2d("two_moons", 4000, np.random.default_rng(2))
-        # upper moon tops out near y = 1, lower near y = 0.5 - 1
-        assert pts[:, 1].max() > 0.8 and pts[:, 1].min() < -0.3
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            gen_2d("spiral", 4, np.random.default_rng(0))
-
-    def test_golden_two_moons_seed7(self):
-        # Frozen from gen_2d("two_moons", 2, np.random.default_rng(7)).
-        pts = gen_2d("two_moons", 2, np.random.default_rng(7))
-        golden = np.array([[1.739069675607224, -0.19739083481044845],
-                           [0.24302410557419665, -0.08293210166409942]])
-        np.testing.assert_allclose(pts, golden, rtol=0, atol=1e-15)
 
 
 class TestPatternsAndDegradation:
@@ -185,10 +129,6 @@ class TestGaussianBlur:
 
 
 class TestDatasets:
-    def test_gen2d_dataset_validates_name(self):
-        with pytest.raises(ValueError):
-            Gen2dDataset(name="spiral")
-
     def test_toysr_dims(self):
         ds = ToySrDataset(hr_size=32, params=DegradeParams(scale=4))
         assert (ds.z_dim, ds.lr_dim, ds.lr_size) == (1024, 64, 8)

@@ -49,8 +49,8 @@ def test_digests_list_every_file_but_the_logs_sorted_by_path(tmp_path):
 GAUSS_12345 = {
     "teacher.ckpt:params": "41c4e6562bc564fc3b4cfab529354c678a42fec9066128d49a4217dd0f065fb2",
     "student.ckpt:params": "311ada31fb3cf66f2722e704aa811bb688faef75af991088adbc406e99ae8db7",
-    "teacher.ckpt": "e3d08a75dd7de125e03aca778a0665a2b126b6d5df01113999fcd3e5f60077a0",
-    "student.ckpt": "a9d4466b3904ad539a34797b4ef03058513fb041ecc75cc3d40b93ff323e7269",
+    "teacher.ckpt": "21c3576cba07d365479fd3bfbfd4d53e402f1fb9b32a2379b27f223221dbda67",
+    "student.ckpt": "564e30e58d53c63ac3be9baadc9579d5907ab515ca747949620e7f15f4d09bf2",
     "sweep.csv": "1728d347b22387c0438234564a8cfa5e281dee9348f79182deb12a12896f1ff5",
     "samples.csv": "e3d5804f431acc4770fb6742946ee5a00bd6f78d988f61fa7be81b5132f4b838",
     "verify/residual_grid.csv": "be784026082bdbe5eccf322fe2d8dd07ee3a4290d150e6e23ddd66c51b9d290a",

@@ -654,7 +654,7 @@ def test_sr_student_bytes_are_pinned(tmp_path):
                     log_every=5, cfg=CfgConfig(mode="teacher_neg", w=2.0))
     student = distill_student(cfg, train_teacher(cfg, tmp_path / "t"), tmp_path / "s")
     assert hashlib.sha256(student.read_bytes()).hexdigest() == (
-        "f336b21125a7d6112601e3f630e2cf1fa24a5e59635f57769e08d3349d027c15")
+        "28e7ec647f2089013f317c3b4f8ec4981a360fea5e4b2af348acc3fe3dbebabf")
     assert describe_checkpoint(student)["params_digest"] == (
         "07345aedd95a834f54dbdb123cb730f5bf062a190187c246e4e6b16893debd92")
 
