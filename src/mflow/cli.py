@@ -140,13 +140,17 @@ def _cmd_verify(args, config: RunConfig, out: Path) -> int:
     s_grid = np.linspace(0.05, 1.0, k)
     rng = np.random.default_rng(config.seed)
     probes = rng.normal(0.0, 1.5, size=(10, flow.dim))
-    rows = identity_residual_grid(flow, t_grid, s_grid, probes, steps=args.steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual exits 2
+        rows = identity_residual_grid(flow, t_grid, s_grid, probes, steps=args.steps)
     write_residual_csv(rows, out / "residual_grid.csv")
     valid = [r for r in rows if not r["skipped"]]
-    worst = max(r["max_resid"] for r in valid)
+    worst = float(np.max([r["max_resid"] for r in valid]))  # NaN if any cell is NaN
     skipped = sum(r["skipped"] for r in rows)
     print(f"residual grid: {len(valid)} cells, {skipped} skipped (s <= t), "
           f"max residual {worst:.3e}")
+    if not np.isfinite(worst):
+        print("identity residual is not finite", file=sys.stderr)
+        return 2
     if worst >= 1e-3:
         print("identity residual exceeds 1e-3", file=sys.stderr)
         return 2

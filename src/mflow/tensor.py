@@ -11,7 +11,10 @@ differentiating a loss never differentiates through a tangent.
 
 Every op builds its result through ``_node``, which records parents and a
 backward closure only when an operand needs a gradient: an op on constants
-is a constant.
+is a constant. A backward closure takes the output's gradient and ``out``,
+backward's destination lookup: ``out(parent)`` is the array the parent's
+gradient is to be written to, or None. The rules that take a net's weights
+as operands (``@``, ``+`` and ``gather_rows``) form their gradient there.
 
 Value-only work needs no Tensor at all. ``concat``, ``sincos``, ``silu``,
 ``repeat_rows`` and ``gather_rows`` also take plain arrays and then return
@@ -22,7 +25,7 @@ forward body runs on either kind of input, with the same values.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,14 +53,21 @@ def _broadcast_shape(sa: tuple, sb: tuple) -> tuple:
     return tuple(out)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
+def _unbroadcast(grad: np.ndarray, t: "Tensor", out: Callable | None = None) -> np.ndarray:
+    """Sum a gradient back down to the shape of ``t``, which it was broadcast from.
+
+    A gradient of ``t``'s shape is handed back as is. A sum over broadcast
+    axes is formed in ``out(t)`` when ``out`` (backward's destination
+    lookup) is given and ``t`` has a destination, as the add rule asks.
+    """
+    shape = t.shape
     if grad.shape == shape:
         return grad
     if shape == ():
         return np.asarray(grad.sum())
+    # operands of equal rank, so keepdims gives ``shape`` itself
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    return grad.sum(axis=axes, keepdims=True).reshape(shape)
+    return np.sum(grad, axis=axes, keepdims=True, out=None if out is None else out(t))
 
 
 class Tensor:
@@ -100,8 +110,19 @@ class Tensor:
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf."""
+    def backward(self, into: Mapping["Tensor", np.ndarray] | None = None) -> None:
+        """Gradients of this scalar with respect to every reachable leaf.
+
+        A leaf's gradient is added to its ``.grad`` (which is set when None).
+        A leaf in ``into`` instead has its gradient written to
+        ``into[leaf]``, an array of its shape, which then becomes its
+        ``.grad``; a leaf the scalar does not reach gets zeros there. A rule
+        forms a destination leaf's gradient in that array where it can
+        (``out``), and a gradient handed back from elsewhere is copied in,
+        so no array is shared between two destinations or with the tape.
+        A leaf reached more than once gets the sum of its contributions in
+        the order the walk meets them, as without ``into``.
+        """
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -119,7 +140,33 @@ class Tensor:
                 for p in node._parents:
                     if id(p) not in seen:
                         stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.asarray(1.0)}
+        dests = {} if into is None else {id(leaf): arr for leaf, arr in into.items()}
+        written: set[int] = set()
+
+        def out(parent: Tensor) -> np.ndarray | None:
+            # the destination while nothing is in it; the rule that takes it fills it
+            key = id(parent)
+            if key not in dests or key in written:
+                return None
+            written.add(key)
+            return dests[key]
+
+        grads: dict[int, np.ndarray] = {}
+
+        def give(parent: Tensor, pg: np.ndarray) -> None:
+            key = id(parent)
+            if key in dests:
+                if pg is dests[key]:
+                    return  # formed in place
+                if key in written:
+                    dests[key] += pg
+                else:
+                    written.add(key)
+                    np.copyto(dests[key], pg)
+            elif parent.requires_grad or parent._parents:
+                grads[key] = pg if key not in grads else grads[key] + pg
+
+        give(self, np.asarray(1.0))
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
@@ -127,11 +174,12 @@ class Tensor:
             if node.requires_grad and not node._parents:
                 node.grad = g if node.grad is None else node.grad + g
             if node._backward is not None:
-                for parent, pg in node._backward(g):
-                    if not (parent.requires_grad or parent._parents):
-                        continue
-                    key = id(parent)
-                    grads[key] = pg if key not in grads else grads[key] + pg
+                for parent, pg in node._backward(g, out):
+                    give(parent, pg)
+        for leaf, arr in (into or {}).items():
+            if id(leaf) not in written:
+                arr.fill(0.0)
+            leaf.grad = arr
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -140,34 +188,34 @@ class Tensor:
         shape = _broadcast_shape(a.shape, b.shape)
         tan = _dual(a, b, shape, lambda ta: ta, lambda tb: tb)
         return _node(a.data + b.data, tan, (a, b),
-                     lambda g: ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))))
+                     lambda g, out: ((a, _unbroadcast(g, a, out)), (b, _unbroadcast(g, b, out))))
 
     def __neg__(self):
         a = self
         tan = None if a.tangent is None else -a.tangent
-        return _node(-a.data, tan, (a,), lambda g: ((a, -g),))
+        return _node(-a.data, tan, (a,), lambda g, _: ((a, -g),))
 
     def __sub__(self, other):
         a, b = self, Tensor._lift(other)
         shape = _broadcast_shape(a.shape, b.shape)
         tan = _dual(a, b, shape, lambda ta: ta, lambda tb: -tb)
         return _node(a.data - b.data, tan, (a, b),
-                     lambda g: ((a, _unbroadcast(g, a.shape)), (b, -_unbroadcast(g, b.shape))))
+                     lambda g, _: ((a, _unbroadcast(g, a)), (b, -_unbroadcast(g, b))))
 
     def __mul__(self, other):
         a, b = self, Tensor._lift(other)
         shape = _broadcast_shape(a.shape, b.shape)
         tan = _dual(a, b, shape, lambda ta: ta * b.data, lambda tb: a.data * tb)
         return _node(a.data * b.data, tan, (a, b),
-                     lambda g: ((a, _unbroadcast(g * b.data, a.shape)),
-                                (b, _unbroadcast(g * a.data, b.shape))))
+                     lambda g, _: ((a, _unbroadcast(g * b.data, a)),
+                                   (b, _unbroadcast(g * a.data, b))))
 
     def __pow__(self, exponent: float):
         a, p = self, float(exponent)
         out = a.data ** p
         local = p * a.data ** (p - 1.0)
         tan = None if a.tangent is None else local * a.tangent
-        return _node(out, tan, (a,), lambda g: ((a, g * local),))
+        return _node(out, tan, (a,), lambda g, _: ((a, g * local),))
 
     # -- nonlinearities -------------------------------------------------------
 
@@ -183,13 +231,13 @@ class Tensor:
         shape = (a.shape[0], b.shape[1])
         tan = _dual(a, b, shape, lambda ta: ta @ b.data, lambda tb: a.data @ tb)
 
-        def back(g):
+        def back(g, out):
             # backward drops the gradient of an operand that needs none, so form none
             grads = []
             if a.requires_grad or a._parents:
-                grads.append((a, g @ b.data.T))
+                grads.append((a, np.matmul(g, b.data.T, out=out(a))))
             if b.requires_grad or b._parents:
-                grads.append((b, a.data.T @ g))
+                grads.append((b, np.matmul(a.data.T, g, out=out(b))))
             return grads
 
         return _node(a.data @ b.data, tan, (a, b), back)
@@ -213,7 +261,7 @@ class Tensor:
         out = scaled(a.data.sum(axis=axis, keepdims=keepdims))
         tan = None if a.tangent is None else scaled(a.tangent.sum(axis=axis, keepdims=keepdims))
 
-        def back(g):
+        def back(g, _):
             gg = scaled(g)
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
@@ -225,7 +273,7 @@ class Tensor:
         a = self
         out = a.data.reshape(*shape)
         tan = None if a.tangent is None else a.tangent.reshape(*shape)
-        return _node(out, tan, (a,), lambda g: ((a, g.reshape(a.shape)),))
+        return _node(out, tan, (a,), lambda g, _: ((a, g.reshape(a.shape)),))
 
 
 def _node(value, tangent, parents: tuple, backward: Callable) -> Tensor:
@@ -287,7 +335,8 @@ def silu(x):
 
     local = None if x.tangent is None else slope()
     tan = None if local is None else local * x.tangent
-    return _node(a * sig, tan, (x,), lambda g: ((x, g * (slope() if local is None else local)),))
+    return _node(a * sig, tan, (x,),
+                 lambda g, _: ((x, g * (slope() if local is None else local)),))
 
 
 def concat(parts: Sequence, axis: int = 0):
@@ -313,7 +362,7 @@ def concat(parts: Sequence, axis: int = 0):
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
-    def back(g):
+    def back(g, _):
         slices = []
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * len(t.shape)
@@ -339,7 +388,7 @@ def sincos(x):
     tan = None
     if x.tangent is not None:
         tan = np.concatenate([cos * x.tangent, -sin * x.tangent], axis=-1)
-    return _node(out, tan, (x,), lambda g: ((x, g[..., :k] * cos - g[..., k:] * sin),))
+    return _node(out, tan, (x,), lambda g, _: ((x, g[..., :k] * cos - g[..., k:] * sin),))
 
 
 def repeat_rows(x, n: int):
@@ -357,7 +406,7 @@ def repeat_rows(x, n: int):
         return np.broadcast_to(x, shape)
     tan = None if x.tangent is None else np.broadcast_to(x.tangent, shape)
     return _node(np.broadcast_to(x.data, shape), tan, (x,),
-                 lambda g: ((x, g.sum(axis=0, keepdims=True)),))
+                 lambda g, _: ((x, g.sum(axis=0, keepdims=True)),))
 
 
 def gather_rows(table, idx):
@@ -375,8 +424,12 @@ def gather_rows(table, idx):
     out = table.data[idx]
     tan = None if table.tangent is None else table.tangent[idx]
 
-    def back(g):
-        gt = np.zeros(table.shape)
+    def back(g, out):
+        gt = out(table)
+        if gt is None:
+            gt = np.zeros(table.shape)
+        else:
+            gt.fill(0.0)
         np.add.at(gt, idx, g)
         return ((table, gt),)
 

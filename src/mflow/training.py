@@ -324,6 +324,8 @@ class RunConfig:
             raise ValueError("gauss_mu must be a non-empty list of numbers")
         if self.gauss_sigma <= 0:
             raise ValueError("gauss_sigma must be positive")
+        if self.gauss_sigma ** 2 == 0:  # the oracle divides by sigma^2
+            raise ValueError("gauss_sigma is so small that its square is 0")
         self.dataset()  # the dataset checks its own fields
         for name, kind in (("cfg", CfgConfig), ("loss", LossConfig)):
             value, keys = getattr(self, name), set(kind.__dataclass_fields__)
@@ -400,24 +402,6 @@ def _lr_at(config: RunConfig, step: int) -> float:
         return config.lr
     frac = step / max(config.steps - 1, 1)
     return config.lr_final + (config.lr - config.lr_final) * 0.5 * (1.0 + np.cos(np.pi * frac))
-
-
-def _backward_into(loss: Tensor, params: dict[str, Tensor],
-                   grads: dict[str, np.ndarray]) -> None:
-    """Backpropagate ``loss`` and copy each parameter's gradient into ``grads``.
-
-    A parameter the loss does not reach gets zeros. The leaves' ``.grad``
-    arrays are copied, never scaled in place: a backward rule may hand one
-    array to several operands.
-    """
-    for p in params.values():
-        p.grad = None
-    loss.backward()
-    for name, p in params.items():
-        if p.grad is None:
-            grads[name].fill(0.0)
-        else:
-            grads[name][...] = p.grad
 
 
 class _TrainLog:
@@ -527,24 +511,31 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
     ``next_batch(rng)`` builds one step's batch and ``loss_of(batch)`` its
     loss. The loop owns the rest: lr schedule, finiteness abort, backward,
     clipping, Adam, the log and the checkpoint cadence.
+
+    Backward writes each parameter's gradient into its view of one flat
+    gradient vector, the vector the clip and Adam read, so a step holds each
+    gradient once. Only the loss's value outlives backward: the step's tape
+    is freed before the next step builds its own.
     """
     final = out / f"{role}.ckpt"
-    params = net.params
     grad = np.empty_like(net.flat)
     grads = net.views(grad)
+    into = {p: grads[name] for name, p in net.params.items()}
     log = _TrainLog(out / f"{role}_log.csv", start)
     try:
         for step in range(start, config.steps):
             t0 = time.perf_counter()
             adam.lr = _lr_at(config, step)
             loss = loss_of(next_batch(rng))
-            if not np.isfinite(loss.item()):
+            value = loss.item()
+            if not np.isfinite(value):
                 raise NumericalAbort(f"non-finite {role} loss at step {step}")
-            _backward_into(loss, params, grads)
+            loss.backward(into)
+            del loss  # frees the tape before the next step builds its own
             norm, scale = clip_gradients(grad, grads, config.grad_clip)
             adam.step(net.flat, grad, scale)
             if step % config.log_every == 0 or step == config.steps - 1:
-                log.row(step, loss.item(), norm, (time.perf_counter() - t0) * 1e3)
+                log.row(step, value, norm, (time.perf_counter() - t0) * 1e3)
             if config.ckpt_every and (step + 1) % config.ckpt_every == 0:
                 _save_net_checkpoint(out / f"{role}_step{step + 1}.ckpt", net,
                                      adam, config, step + 1, rng, role)

@@ -280,6 +280,28 @@ class TestVerify:
         assert lines[0] == "t,s,max_resid,mean_resid"
         assert len(lines) > 1
 
+    def test_nonfinite_residual_exits_2(self, tmp_path, capsys):
+        # x - t mu overflows, so every residual is NaN or inf
+        code = run(["verify", "--set", "gauss_mu=[1e308,1e308]", "--grid", "2",
+                    "--steps", "16", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "identity residual is not finite\n"
+
+    def test_a_nan_after_a_finite_cell_exits_2(self, tmp_path, monkeypatch, capsys):
+        cells = [{"t": 0.0, "s": 0.5, "max_resid": 1e-6, "mean_resid": 1e-6, "skipped": False},
+                 {"t": 0.0, "s": 1.0, "max_resid": float("nan"), "mean_resid": float("nan"),
+                  "skipped": False}]
+        monkeypatch.setattr(mflow.cli, "identity_residual_grid", lambda *a, **k: cells)
+        assert run(["verify", "--grid", "2", "--out", str(tmp_path)]) == 2
+        assert "max residual nan" in capsys.readouterr().out
+
+    def test_sigma_whose_square_is_zero_is_one_usage_line(self, tmp_path, capsys):
+        assert run(["verify", "--set", "gauss_sigma=1e-200", "--grid", "2", "--steps", "16",
+                    "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: gauss_sigma is so small that its square is 0\n"
+
 
 class TestGenData:
     def test_toysr_pairs(self, tmp_path):

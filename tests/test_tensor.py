@@ -158,7 +158,7 @@ class TestBackward:
         c = Tensor(rng.normal(size=(3, 3)))
         out = c @ w if const_side == "left" else w @ c
         g = rng.normal(size=(3, 3))
-        grads = out._backward(g)
+        grads = out._backward(g, lambda parent: None)  # no destinations
         assert [p for p, _ in grads] == [w]
         np.testing.assert_array_equal(grads[0][1], c.data.T @ g if const_side == "left"
                                       else g @ c.data.T)
@@ -168,6 +168,94 @@ class TestBackward:
         out = gather_rows(table, [0, 0, 2])
         out.sum().backward()
         np.testing.assert_array_equal(table.grad, [[2, 2], [0, 0], [1, 1]])
+
+
+class TestDestinations:
+    """backward(into) writes each listed leaf's gradient into its given array."""
+
+    @staticmethod
+    def slices(*shapes):
+        """Views of one NaN-filled vector, one per shape, as a step's gradient is laid out."""
+        flat = np.full(sum(int(np.prod(shape)) for shape in shapes), np.nan)
+        views, start = [], 0
+        for shape in shapes:
+            stop = start + int(np.prod(shape))
+            views.append(flat[start:stop].reshape(shape))
+            start = stop
+        return flat, views
+
+    def test_same_bits_as_the_grad_of_a_plain_backward(self):
+        rng = np.random.default_rng(12)
+        shapes = [(5, 3), (7, 6), (1, 6), (6, 2), (1, 2)]
+        x = rng.normal(size=(7, 4))
+        ids = [0, 4, 4, 1, 2, 0, 4]
+
+        def loss(table, w0, b0, w1, b1):
+            h = concat([Tensor(x), gather_rows(table, ids)], axis=1)
+            h = silu(h @ w0 + b0)
+            return ((h @ w1 + b1) ** 2.0).sum()
+
+        values = [rng.normal(size=shape) for shape in shapes]
+        plain = [Tensor(v, requires_grad=True) for v in values]
+        loss(*plain).backward()
+        leaves = [Tensor(v, requires_grad=True) for v in values]
+        flat, views = self.slices(*shapes)
+        loss(*leaves).backward(dict(zip(leaves, views)))
+        for leaf, view, ref in zip(leaves, views, plain):
+            assert leaf.grad is view
+            np.testing.assert_array_equal(view, ref.grad)
+
+    def test_a_leaf_used_twice_gets_the_sum_in_its_slice(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(3, 4)))
+        w_value = rng.normal(size=(4, 4))
+        plain = Tensor(w_value, requires_grad=True)
+        ((x @ plain) @ plain).sum().backward()
+        w = Tensor(w_value, requires_grad=True)
+        _, (dest,) = self.slices((4, 4))
+        ((x @ w) @ w).sum().backward({w: dest})
+        assert w.grad is dest
+        np.testing.assert_array_equal(dest, plain.grad)
+        g = np.ones((3, 4))  # the two contributions, outer product first
+        np.testing.assert_array_equal(dest, (x.data @ w_value).T @ g + x.data.T @ (g @ w_value.T))
+
+    def test_a_leaf_on_both_sides_of_one_product(self):
+        w_value = np.random.default_rng(14).normal(size=(3, 3))
+        plain = Tensor(w_value, requires_grad=True)
+        (plain @ plain).sum().backward()
+        w = Tensor(w_value, requires_grad=True)
+        _, (dest,) = self.slices((3, 3))
+        (w @ w).sum().backward({w: dest})
+        np.testing.assert_array_equal(dest, plain.grad)
+
+    def test_an_unreached_leaf_gets_zeros(self):
+        used = Tensor(np.ones((2, 2)), requires_grad=True)
+        unused = Tensor(np.ones((1, 3)), requires_grad=True)
+        _, (d_used, d_unused) = self.slices((2, 2), (1, 3))
+        (used * used).sum().backward({used: d_used, unused: d_unused})
+        np.testing.assert_array_equal(d_used, np.full((2, 2), 2.0))
+        np.testing.assert_array_equal(d_unused, np.zeros((1, 3)))
+        assert unused.grad is d_unused
+
+    def test_one_gradient_handed_to_two_leaves_is_not_aliased(self):
+        # equal shapes: the add rule hands its one gradient array to both operands
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        flat, (d_a, d_b) = self.slices((2, 3), (2, 3))
+        ((a + b) * Tensor(np.full((2, 3), 3.0))).sum().backward({a: d_a, b: d_b})
+        assert a.grad is d_a and b.grad is d_b
+        np.testing.assert_array_equal(flat, np.full(12, 3.0))
+        d_a *= 2.0
+        np.testing.assert_array_equal(d_b, np.full((2, 3), 3.0))
+
+    def test_leaves_not_listed_accumulate_into_grad(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        other = Tensor(np.ones((2, 2)), requires_grad=True)
+        other.grad = np.ones((2, 2))
+        _, (dest,) = self.slices((2, 2))
+        (w * other).sum().backward({w: dest})
+        np.testing.assert_array_equal(dest, np.ones((2, 2)))
+        np.testing.assert_array_equal(other.grad, np.full((2, 2), 2.0))
 
 
 class TestRepeatRows:
@@ -316,7 +404,7 @@ def _sin(a):
     """The former ``Tensor.sin`` node."""
     c = np.cos(a.data)
     tan = None if a.tangent is None else c * a.tangent
-    return Tensor(np.sin(a.data), tangent=tan, _parents=(a,), _backward=lambda g: ((a, g * c),))
+    return Tensor(np.sin(a.data), tangent=tan, _parents=(a,), _backward=lambda g, _: ((a, g * c),))
 
 
 def _cos(a):
@@ -324,7 +412,7 @@ def _cos(a):
     s = np.sin(a.data)
     tan = None if a.tangent is None else -s * a.tangent
     return Tensor(np.cos(a.data), tangent=tan, _parents=(a,),
-                  _backward=lambda g: ((a, -g * s),))
+                  _backward=lambda g, _: ((a, -g * s),))
 
 
 class TestSincos:
