@@ -33,6 +33,21 @@ except (AttributeError, OSError, TypeError):  # a C library without it hands not
     def _malloc_trim(pad: int) -> int:
         return 0
 
+try:  # glibc's mallopt(param, value) sets one of its allocator's tunables
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # a C library without it keeps its own policy
+    def _mallopt(param: int, value: int) -> int:
+        return 0
+
+# mallopt(3) parameter numbers and the values run() pins them to: every array
+# below 8 MiB, which holds any per-step array of the benchmark's workloads (SR's
+# largest are its 5.8 MB parameter-sized vectors), comes from the heap, and the
+# heap shrinks by itself only once 64 MiB at its top are free. A larger array,
+# such as a checkpoint's bytes, is mapped on its own and unmapped when freed.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 8 << 20
+
 
 class UsageError(Exception):
     pass
@@ -220,7 +235,13 @@ def run(argv: list[str]) -> int:
     Free heap pages go back to the OS before and after: a process running many
     commands would keep tens of MB of free heap, and whether a later large
     allocation fits in it or adds to the peak memory varies from run to run.
+    Within a command they stay: the allocator's thresholds are pinned, since
+    glibc's default ones adapt to the freed sizes, and with a gauss step's
+    256 KiB arrays each step gave its heap back and faulted it in again
+    (214k minor faults in a fresh gauss ``train-teacher``, 1.6k when pinned).
     """
+    _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    _mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
     _malloc_trim(0)
     parser = build_parser()
     try:

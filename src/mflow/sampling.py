@@ -11,10 +11,22 @@ from .nets import FieldNet, student_forward
 from .oracle import AnalyticFlow
 
 
+ROWS = 512  # rows per value-only FieldNet forward: its temporaries do not grow with the batch
+
+
 def _eval_student(student, z, t: float, s: float, z_lr, c) -> np.ndarray:
-    if isinstance(student, FieldNet):
+    if not isinstance(student, FieldNet):
+        return np.asarray(student(z, t, s, z_lr, c), dtype=np.float64)
+    n = z.shape[0]
+    if n <= ROWS:
         return student_forward(student, z, t, s, z_lr, c, tape=False)
-    return np.asarray(student(z, t, s, z_lr, c), dtype=np.float64)
+    ids = student.label_ids(c, n)
+    out = np.empty((n, student.z_dim))
+    for i in range(0, n, ROWS):
+        rows = slice(i, i + ROWS)
+        lr = z_lr[rows] if student.lr_dim else z_lr  # a net without LR features reads none
+        out[rows] = student_forward(student, z[rows], t, s, lr, ids[rows], tape=False)
+    return out
 
 
 def sample_student(student, z0: np.ndarray, z_lr, c, n_steps: int) -> np.ndarray:
@@ -27,6 +39,13 @@ def sample_student(student, z0: np.ndarray, z_lr, c, n_steps: int) -> np.ndarray
     and gives the same bits as a taped one. This covers ``sr_restore`` and
     ``steps_sweep``. ``z0`` is never written: the first step binds ``z`` to a
     new array.
+
+    A FieldNet runs on at most ``ROWS`` rows at a time, so a large ``z0``
+    (eval's 4096 Gaussian samples) needs no more working memory than ROWS
+    rows do. Past ROWS rows the results may differ from one whole-batch
+    forward in their last bits, as BLAS may sum a product of more rows in
+    another order (gauss's 2-wide output layer does); up to ROWS they are
+    the same call.
     """
     if n_steps < 1:
         raise ValueError("need at least one sampling step")

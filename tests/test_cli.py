@@ -64,6 +64,40 @@ def test_glibc_trim_is_found():
     assert mflow.cli._malloc_trim.restype is ctypes.c_int
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_glibc_mallopt_is_found():
+    assert mflow.cli._mallopt.restype is ctypes.c_int
+
+
+def test_every_command_pins_the_allocator_thresholds_first(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(mflow.cli, "_mallopt", lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(mflow.cli, "_malloc_trim", lambda pad: calls.append("trim"))
+    assert run([]) == 1
+    assert calls == [(-3, 8 << 20), (-1, 64 << 20), "trim", "trim"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_a_fresh_process_trains_without_refaulting_its_heap(tmp_path):
+    # glibc's default thresholds hand each step's freed (256, 128) arrays back to
+    # the OS and fault them in again: about 26k minor faults over these 40 steps
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"task": "gaussian", "seed": 3, "steps": 40, "batch_size": 256,
+                               "hidden": [128, 128], "log_every": 100}))
+    code = ("import resource, sys, mflow.cli; "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+            "code = mflow.cli.run(sys.argv[1:]); "
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    src = str(Path(mflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, "train-teacher", "--config", str(cfg),
+                          "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    code, faults = map(int, out.stdout.split()[-2:])
+    assert code == 0
+    assert faults < 5000
+
+
 class TestParsingAndErrors:
     def test_no_args_is_usage_error(self, capsys):
         assert run([]) == 1

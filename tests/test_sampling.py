@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from mflow.data import (DegradeParams, GaussianDataset, ToySrDataset, build_sr_p
                         from_signal, to_signal)
 from mflow.nets import FieldNet, student_forward
 from mflow.oracle import AnalyticFlow, exact_avg_velocity, exact_velocity, flow_map
-from mflow.sampling import (block_upsample, hf_band_energy, moment_distance, psnr,
+from mflow.sampling import (ROWS, block_upsample, hf_band_energy, moment_distance, psnr,
                             sample_student, sr_infer, sr_restore, steps_sweep, write_sweep_csv)
 
 
@@ -180,3 +182,42 @@ class TestBatchedRestore:
         write_sweep_csv(tmp_path / "batched.csv", rows)
         write_sweep_csv(tmp_path / "loop.csv", ref)
         assert (tmp_path / "batched.csv").read_text() == (tmp_path / "loop.csv").read_text()
+
+
+class TestRowChunks:
+    """A FieldNet student runs in forwards of at most ROWS rows."""
+
+    def test_chunks_match_one_taped_forward(self):
+        ds = ToySrDataset(hr_size=16, params=DegradeParams(scale=4))
+        student, n = seeded_sr_student(ds), 2 * ROWS + 7
+        rng = np.random.default_rng(9)
+        z0, z_lr = rng.standard_normal((n, ds.z_dim)), rng.standard_normal((n, ds.lr_dim))
+        labels = rng.integers(0, ds.num_content + 2, n)
+        for n_steps in (1, 2):
+            z, taus = z0, np.linspace(0.0, 1.0, n_steps + 1)
+            for t, s in zip(taus[:-1], taus[1:]):
+                z = z + (s - t) * student_forward(student, z, t, s, z_lr, labels).data
+            out = sample_student(student, z0, z_lr, labels, n_steps)
+            np.testing.assert_allclose(out, z, rtol=0, atol=1e-12)
+
+    def test_a_net_without_lr_features_takes_no_z_lr(self):
+        student = FieldNet("student", z_dim=2, lr_dim=0, num_content=1, cond_dim=4,
+                           time_dim=8, hidden=(8,), seed=4)
+        n = ROWS + 3
+        z0 = np.random.default_rng(4).standard_normal((n, 2))
+        np.testing.assert_array_equal(sample_student(student, z0, None, 0, 2),
+                                      sample_student(student, z0, np.zeros((n, 0)), 0, 2))
+
+    def test_large_batches_need_no_more_memory_than_rows_chunks(self):
+        student = FieldNet("student", z_dim=2, lr_dim=0, num_content=1, cond_dim=16,
+                           time_dim=32, hidden=(128, 128), seed=4)
+        n = 16 * ROWS
+        z0, z_lr = np.random.default_rng(4).standard_normal((n, 2)), np.zeros((n, 0))
+        tracemalloc.start()
+        try:
+            sample_student(student, z0, z_lr, 0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one whole-batch forward holds several (n, 128) float64 activations: ~8 MB each
+        assert peak < 4e6

@@ -14,6 +14,11 @@ weights alone, which no config field moves); and then the value of
 OPENBLAS_NUM_THREADS and the thread count that OpenBLAS reports in force
 (read as ``perfbench/bench_env.py`` reads it), since checkpoint bytes depend
 on the BLAS thread count.
+
+A text output's digest shows its values bit for bit only to the digits the
+file prints. ``samples.csv`` prints ``%.18e``, which round-trips a float64;
+``sweep.csv`` prints 10 significant digits, so a change that moves eval's
+samples in their last bits keeps its digest. Checkpoints hold raw bytes.
 """
 
 from __future__ import annotations
