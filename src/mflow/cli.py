@@ -4,9 +4,8 @@ Every run resolves its configuration (file + dotted-key overrides), writes
 the resolved config next to its outputs, and is reproducible from that file
 alone. Exit codes: 0 success, 1 usage error, 2 numerical abort or failed
 verification, 3 I/O error or a checkpoint that is corrupt, truncated, of the
-wrong role, or does not fit the configured dataset. ``mflow inspect CKPT``
-prints a checkpoint's role, steps, parameter count and digests as one JSON
-line.
+wrong kind, or does not fit the config. ``mflow inspect CKPT`` prints a
+checkpoint's kind, step, parameter count and digests as one JSON line.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .data import build_sr_pool, write_manifest, write_pgm
 from .oracle import AnalyticFlow, identity_residual_grid, write_residual_csv
 from .sampling import sample_student, sr_restore, steps_sweep, write_sweep_csv
-from .training import (CheckpointError, NumericalAbort, RunConfig, check_dataset,
+from .training import (CheckpointError, NumericalAbort, RunConfig, check_net,
                        describe_checkpoint, distill_student, load_student, train_teacher)
 
 
@@ -139,7 +138,7 @@ def build_parser() -> _Parser:
             p.add_argument("--grid", type=_at_least(1), default=10,
                            help="grid resolution per axis")
             p.add_argument("--steps", type=_at_least(1), default=1024, help="integrator steps")
-    p = sub.add_parser("inspect", help="print a checkpoint's role, steps, parameter count "
+    p = sub.add_parser("inspect", help="print a checkpoint's kind, step, parameter count "
                                        "and digests as one JSON line")
     p.add_argument("ckpt", help="checkpoint file")
     return parser
@@ -195,7 +194,7 @@ def _load_checked_student(args, config: RunConfig, out: Path):
     ckpt = args.ckpt or str(out / "student.ckpt")
     student = load_student(ckpt)
     dataset = config.dataset()
-    check_dataset(student, dataset, ckpt)
+    check_net(student, config, ckpt)
     pool = build_sr_pool(dataset, args.n, config.seed + 1) if config.task == "toysr" else None
     return student, dataset, pool
 
@@ -239,6 +238,8 @@ def run(argv: list[str]) -> int:
     glibc's default ones adapt to the freed sizes, and with a gauss step's
     256 KiB arrays each step gave its heap back and faulted it in again
     (214k minor faults in a fresh gauss ``train-teacher``, 1.6k when pinned).
+    The pinned thresholds stay in force after ``run`` returns, for the rest of
+    the calling process: glibc has no call that restores its adaptive ones.
     """
     _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     _mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)

@@ -9,8 +9,8 @@ import math
 import os
 import struct
 import time
-from collections.abc import Callable, Mapping
-from dataclasses import asdict, astuple, dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,8 @@ class NumericalAbort(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that is corrupt, truncated, of the wrong role, or
-    that does not fit the net or dataset it is loaded for."""
+    """A checkpoint file that is corrupt, truncated, of the wrong kind, or
+    that does not fit the config it is loaded for."""
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -59,8 +59,9 @@ class Adam:
     ``eps_t = eps sqrt(1 - beta2^t)``, so the update is
     ``p -= alpha_t m / (sqrt(v) + eps_t)``: Algorithm 1 in exact arithmetic,
     with two passes fewer. ``step`` updates the parameter vector in place;
-    ``m`` and ``v`` are flat vectors of the same layout, which a net's
-    ``views`` names for the checkpoint.
+    ``m`` and ``v`` are flat vectors of the same layout, which a checkpoint
+    holds as they are, as ``adam.m`` and ``adam.v``; its step count is the
+    checkpoint's ``step``.
     """
 
     def __init__(self, size: int, lr: float = 1e-3):
@@ -103,18 +104,6 @@ class Adam:
             np.multiply(m, alpha, out=a)
             np.divide(a, b, out=a)
             np.subtract(p, a, out=p)
-
-    def state_arrays(self, views: Callable[[np.ndarray], dict[str, np.ndarray]]
-                     ) -> dict[str, np.ndarray]:
-        """The moments as checkpoint tensors, ``adam.m.<name>`` and ``adam.v.<name>``.
-
-        ``views`` names the slices of a flat vector (a net's ``views``); the
-        arrays returned are views of ``m`` and ``v``, so writing to them
-        restores the state.
-        """
-        arrays = {f"adam.m.{name}": a for name, a in views(self.m).items()}
-        arrays.update({f"adam.v.{name}": a for name, a in views(self.v).items()})
-        return arrays
 
 
 def clip_gradients(flat: np.ndarray, grads: Mapping[str, np.ndarray],
@@ -250,15 +239,13 @@ def params_digest(params: dict[str, Tensor]) -> str:
 
 # -- run configuration -------------------------------------------------------------
 
-_INT_FIELDS = ("seed", "steps", "batch_size", "log_every", "ckpt_every", "time_dim",
-               "cond_dim", "hr_size", "num_content", "sr_scale", "quant_levels", "train_pool")
-_FLOAT_FIELDS = ("lr", "lr_final", "grad_clip", "teacher_c_noise", "gauss_sigma",
-                 "blur_sigma", "noise_sigma", "neg_pair_prob")
-
-
 @dataclass
 class RunConfig:
-    """Full experiment description; serialized next to every artifact."""
+    """Full experiment description; serialized next to every artifact.
+
+    A field annotated ``int`` must hold an int, and one annotated ``float`` a
+    number (``is_number``).
+    """
     task: str = "gaussian"       # gaussian | toysr
     seed: int = 0
     steps: int = 2000
@@ -291,10 +278,11 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in ("gaussian", "toysr"):
             raise ValueError(f"unknown task {self.task!r}")
-        not_int = [name for name in _INT_FIELDS if type(getattr(self, name)) is not int]
+        not_int = [f.name for f in fields(self)
+                   if f.type == "int" and type(getattr(self, f.name)) is not int]
         if not_int:
             raise ValueError(f"expected an integer for {', '.join(not_int)}")
-        check_numbers(self, _FLOAT_FIELDS)
+        check_numbers(self, [f.name for f in fields(self) if f.type == "float"])
         if not isinstance(self.teacher_ckpt, str):
             # open() would take an int as a file descriptor
             raise ValueError("expected a path string for teacher_ckpt")
@@ -363,12 +351,16 @@ class RunConfig:
                                                  noise_sigma=self.noise_sigma,
                                                  quant_levels=self.quant_levels))
 
-    def build_teacher(self) -> FieldNet:
+    def net_config(self) -> dict:
+        """The teacher this config trains, keyed as ``FieldNet.config()`` is."""
         ds = self.dataset()
-        return FieldNet("teacher", ds.z_dim, ds.lr_dim, ds.num_content,
-                        cond_dim=self.cond_dim, time_dim=self.time_dim,
-                        hidden=tuple(self.hidden), c_noise=self.teacher_c_noise,
-                        seed=self.seed)
+        return {"kind": "teacher", "z_dim": ds.z_dim, "lr_dim": ds.lr_dim,
+                "num_content": ds.num_content, "cond_dim": self.cond_dim,
+                "time_dim": self.time_dim, "hidden": list(self.hidden),
+                "c_noise": self.teacher_c_noise, "seed": self.seed}
+
+    def build_teacher(self) -> FieldNet:
+        return FieldNet(**self.net_config())
 
 
 # The one SR training pool a process keeps, {key: pool}; see _sr_train_pool.
@@ -427,12 +419,10 @@ class _TrainLog:
 
 
 def _save_net_checkpoint(path, net: FieldNet, adam: Adam, config: RunConfig,
-                         step: int, rng: np.random.Generator, role: str) -> None:
-    tensors = dict(net.arrays)
-    tensors.update(adam.state_arrays(net.views))
-    meta = {"role": role, "step": step, "config_digest": config.digest(),
-            "net_config": net.config(), "config": config.to_dict(),
-            "adam_step": adam.step_count, "rng_state": rng.bit_generator.state}
+                         step: int, rng: np.random.Generator) -> None:
+    tensors = {**net.arrays, "adam.m": adam.m, "adam.v": adam.v}
+    meta = {"step": step, "config_digest": config.digest(), "net_config": net.config(),
+            "config": config.to_dict(), "rng_state": rng.bit_generator.state}
     save_checkpoint(path, tensors, meta)
 
 
@@ -457,32 +447,30 @@ def _load_net(path, kind: str | None = None, moments: bool = False
     return net, tensors, meta
 
 
-def check_dataset(net: FieldNet, dataset, path) -> None:
-    """Refuse a checkpointed net whose shapes do not fit the configured dataset."""
-    if (net.z_dim, net.lr_dim, net.num_content) != (dataset.z_dim, dataset.lr_dim,
-                                                      dataset.num_content):
-        raise CheckpointError(f"{path}: {net.kind} checkpoint does not match the "
-                              f"configured dataset")
+def check_net(net: FieldNet, config: RunConfig, path) -> None:
+    """Refuse a checkpointed net that does not fit ``config``.
+
+    A teacher must equal ``config.net_config()`` in every key but ``seed``
+    (a distillation runs under its own seed); a student, which only runs
+    forward, must fit the configured dataset: ``z_dim``, ``lr_dim`` and
+    ``num_content``. The first key that differs is named.
+    """
+    asked, held = config.net_config(), net.config()
+    keys = ([key for key in asked if key != "seed"] if net.kind == "teacher"
+            else ("z_dim", "lr_dim", "num_content"))
+    for key in keys:
+        if asked[key] != held[key]:
+            raise CheckpointError(f"{path}: {net.kind} checkpoint does not match the "
+                                  f"config: the config asks for {key}={asked[key]}, "
+                                  f"the {net.kind} has {held[key]}")
 
 
-def _check_teacher_fits(config: RunConfig, dataset, teacher: FieldNet, path) -> None:
-    """Refuse a teacher that does not fit the dataset or was built with another
-    ``hidden``, ``time_dim``, ``cond_dim`` or ``teacher_c_noise`` than the
-    config asks for."""
-    check_dataset(teacher, dataset, path)
-    for name, asked, held in (("hidden", list(config.hidden), list(teacher.hidden)),
-                              ("time_dim", config.time_dim, teacher.time_dim),
-                              ("cond_dim", config.cond_dim, teacher.cond_dim),
-                              ("teacher_c_noise", config.teacher_c_noise,
-                               teacher.c_noise)):
-        if asked != held:
-            raise CheckpointError(f"{path}: the config asks for {name}={asked}, "
-                                  f"the teacher has {held}")
-
-
-def _resume_state(path, config: RunConfig, net: FieldNet, adam: Adam,
-                  tensors: dict[str, np.ndarray], meta: dict) -> tuple[int, np.random.Generator]:
+def _resume_state(path, config: RunConfig, adam: Adam, tensors: dict[str, np.ndarray],
+                  meta: dict) -> tuple[int, np.random.Generator]:
     """Restore Adam's moments and step count; returns (next step, training RNG).
+
+    Adam steps once per training step, so its step count is the checkpoint's
+    ``step``.
 
     Raises CheckpointError when the checkpoint was written under another
     config than ``config`` or lacks anything needed to continue the run
@@ -491,21 +479,21 @@ def _resume_state(path, config: RunConfig, net: FieldNet, adam: Adam,
     if meta.get("config_digest") != config.digest():
         raise CheckpointError(f"{path}: written under another config than the one "
                               f"given, so the run cannot continue from it")
-    for key in ("step", "adam_step"):
-        if not isinstance(meta.get(key), int) or meta[key] < 0:
-            raise CheckpointError(f"{path}: no valid {key!r} to resume from")
+    step = meta.get("step")
+    if not isinstance(step, int) or step < 0:
+        raise CheckpointError(f"{path}: no valid 'step' to resume from")
     try:
-        copy_into(adam.state_arrays(net.views), tensors)
+        copy_into({"adam.m": adam.m, "adam.v": adam.v}, tensors)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = meta.get("rng_state")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: cannot resume ({exc})") from exc
-    adam.step_count = meta["adam_step"]
-    return meta["step"], rng
+    adam.step_count = step
+    return step, rng
 
 
 def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Generator,
-               start: int, out: Path, role: str, next_batch, loss_of) -> Path:
+               start: int, out: Path, next_batch, loss_of) -> Path:
     """Steps ``start`` .. ``config.steps - 1`` of a run; returns the final checkpoint path.
 
     ``next_batch(rng)`` builds one step's batch and ``loss_of(batch)`` its
@@ -515,13 +503,15 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
     Backward writes each parameter's gradient into its view of one flat
     gradient vector, the vector the clip and Adam read, so a step holds each
     gradient once. Only the loss's value outlives backward: the step's tape
-    is freed before the next step builds its own.
+    is freed before the next step builds its own. Files are named by the
+    net's ``kind``.
     """
-    final = out / f"{role}.ckpt"
+    kind = net.kind
+    final = out / f"{kind}.ckpt"
     grad = np.empty_like(net.flat)
     grads = net.views(grad)
     into = {p: grads[name] for name, p in net.params.items()}
-    log = _TrainLog(out / f"{role}_log.csv", start)
+    log = _TrainLog(out / f"{kind}_log.csv", start)
     try:
         for step in range(start, config.steps):
             t0 = time.perf_counter()
@@ -529,7 +519,7 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
             loss = loss_of(next_batch(rng))
             value = loss.item()
             if not np.isfinite(value):
-                raise NumericalAbort(f"non-finite {role} loss at step {step}")
+                raise NumericalAbort(f"non-finite {kind} loss at step {step}")
             loss.backward(into)
             del loss  # frees the tape before the next step builds its own
             norm, scale = clip_gradients(grad, grads, config.grad_clip)
@@ -537,9 +527,9 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
             if step % config.log_every == 0 or step == config.steps - 1:
                 log.row(step, value, norm, (time.perf_counter() - t0) * 1e3)
             if config.ckpt_every and (step + 1) % config.ckpt_every == 0:
-                _save_net_checkpoint(out / f"{role}_step{step + 1}.ckpt", net,
-                                     adam, config, step + 1, rng, role)
-        _save_net_checkpoint(final, net, adam, config, config.steps, rng, role)
+                _save_net_checkpoint(out / f"{kind}_step{step + 1}.ckpt", net,
+                                     adam, config, step + 1, rng)
+        _save_net_checkpoint(final, net, adam, config, config.steps, rng)
     finally:
         log.close()
     return final
@@ -552,16 +542,16 @@ def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path
     dataset = config.dataset()
     if resume:
         teacher, tensors, meta = _load_net(resume, "teacher", moments=True)
-        _check_teacher_fits(config, dataset, teacher, resume)
+        check_net(teacher, config, resume)
         adam = Adam(teacher.flat.size, lr=config.lr)
-        start, rng = _resume_state(resume, config, teacher, adam, tensors, meta)
+        start, rng = _resume_state(resume, config, adam, tensors, meta)
     else:
         teacher = config.build_teacher()
         adam = Adam(teacher.flat.size, lr=config.lr)
         start, rng = 0, np.random.default_rng(config.seed)
     pool = _sr_train_pool(config, dataset)
     return _run_steps(
-        config, teacher, adam, rng, start, out, "teacher",
+        config, teacher, adam, rng, start, out,
         lambda rng: make_batch(dataset, config.batch_size, rng, ratio_r=0.0,
                                neg_pair_prob=config.neg_pair_prob, pool=pool),
         lambda batch: rf_loss(teacher, batch))
@@ -578,14 +568,14 @@ def load_student(path) -> FieldNet:
 
 
 def describe_checkpoint(path) -> dict:
-    """Role, kind, steps, parameter count and digests of a checkpoint.
+    """Kind, step, parameter count and digests of a checkpoint.
 
-    ``params_digest`` covers the weights alone, so it does not move with the
-    metadata bytes. Raises CheckpointError for a file that does not load.
+    ``step`` is also the count of Adam steps taken. ``params_digest`` covers
+    the weights alone, so it does not move with the metadata bytes. Raises
+    CheckpointError for a file that does not load.
     """
     net, _, meta = _load_net(path)
-    return {"role": meta.get("role"), "kind": net.kind, "step": meta.get("step"),
-            "adam_step": meta.get("adam_step"), "param_count": net.flat.size,
+    return {"kind": net.kind, "step": meta.get("step"), "param_count": net.flat.size,
             "params_digest": params_digest(net.params),
             "config_digest": meta.get("config_digest")}
 
@@ -593,21 +583,21 @@ def describe_checkpoint(path) -> dict:
 def distill_student(config: RunConfig, teacher_ckpt, out_dir) -> Path:
     """MeanFlow distillation of a frozen teacher into an average-velocity student.
 
-    Raises CheckpointError when the teacher does not fit the configured
-    dataset or was built with another ``hidden``, ``time_dim``, ``cond_dim``
-    or ``teacher_c_noise`` than the config asks for.
+    Raises CheckpointError when the teacher is not the net ``config`` trains
+    (``check_net``): another dataset, ``hidden``, ``time_dim``, ``cond_dim``
+    or ``teacher_c_noise``; its seed may differ.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     teacher = load_teacher(teacher_ckpt)
+    check_net(teacher, config, teacher_ckpt)
     ds = config.dataset()
-    _check_teacher_fits(config, ds, teacher, teacher_ckpt)
     frozen_digest = params_digest(teacher.params)
     student = init_student_from_teacher(teacher)
     pool = _sr_train_pool(config, ds)
     final = _run_steps(
         config, student, Adam(student.flat.size, lr=config.lr),
-        np.random.default_rng(config.seed), 0, out, "student",
+        np.random.default_rng(config.seed), 0, out,
         lambda rng: make_batch(ds, config.batch_size, rng, ratio_r=config.loss.ratio_r,
                                pool=pool),
         lambda batch: mfd_loss(student, teacher, batch, config.cfg, config.loss))

@@ -363,7 +363,7 @@ class TestCheckpointMeta:
         out = tmp_path / "run"
         run(["train-teacher", "--config", base_config(tmp_path), "--out", str(out)])
         _, meta = load_checkpoint(out / "teacher.ckpt")
-        assert meta["role"] == "teacher"
+        assert meta["net_config"]["kind"] == "teacher"
         assert meta["step"] == 15
         assert len(meta["config_digest"]) == 64
 
@@ -380,8 +380,7 @@ class TestInspect:
         teacher = load_teacher(out / "teacher.ckpt")
         config = RunConfig.from_dict(json.loads((out / "config.json").read_text()))
         assert json.loads(lines[0]) == {
-            "role": "teacher", "kind": "teacher", "step": 3, "adam_step": 3,
-            "param_count": teacher.flat.size,
+            "kind": "teacher", "step": 3, "param_count": teacher.flat.size,
             "params_digest": params_digest(teacher.params),
             "config_digest": config.digest()}
 

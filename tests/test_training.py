@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
+import json
 import math
 import re
 import tracemalloc
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mflow import nets, training
+from mflow.cli import run
 from mflow.data import make_batch
 from mflow.flow import CfgConfig, LossConfig, rf_loss
 from mflow.nets import copy_into, init_student_from_teacher, teacher_forward
 from mflow.tensor import Tensor
 from mflow.training import (ADAM_BLOCK, Adam, CheckpointError, NumericalAbort, RunConfig,
-                            _load_net, _lr_at, _sr_train_pool, clip_gradients, describe_checkpoint,
-                            distill_student, load_checkpoint, load_student, load_teacher,
-                            params_digest, save_checkpoint, train_teacher)
+                            _load_net, _lr_at, _sr_train_pool, check_net, clip_gradients,
+                            describe_checkpoint, distill_student, load_checkpoint, load_student,
+                            load_teacher, params_digest, save_checkpoint, train_teacher)
 
 
 def tiny_config(**kw):
@@ -85,11 +87,10 @@ class ReferenceAdam:
         return out
 
     def state_arrays(self):
-        arrays = {}
-        for name, m in self.m.items():
-            arrays[f"adam.m.{name}"] = m
-            arrays[f"adam.v.{name}"] = self.v[name]
-        return arrays
+        """The moments as a checkpoint holds them: each laid end to end in
+        parameter order."""
+        return {"adam.m": np.concatenate([m.ravel() for m in self.m.values()]),
+                "adam.v": np.concatenate([v.ravel() for v in self.v.values()])}
 
 
 def reference_clip(grads, max_norm):
@@ -190,14 +191,12 @@ class TestAdam:
         np.testing.assert_array_equal(grad, [1e200, -1e200, 3.0])
 
     def test_state_roundtrip(self):
-        shapes = {"w": (2,), "b": (1, 1)}
-        views = partial(named_views, shapes=shapes)
         adam = Adam(3, lr=0.01)
         p = np.ones(3)
         for _ in range(3):
             adam.step(p, np.array([0.3, -0.7, 0.2]))
         clone = Adam(3, lr=0.01)
-        copy_into(clone.state_arrays(views), adam.state_arrays(views))
+        copy_into({"adam.m": clone.m, "adam.v": clone.v}, {"adam.m": adam.m, "adam.v": adam.v})
         clone.step_count = adam.step_count
         a, b = p.copy(), p.copy()
         adam.step(a, np.full(3, 0.1))
@@ -385,8 +384,8 @@ class TestCheckpointRejection:
     @pytest.mark.parametrize("edit", ["truncated", "trailing"])
     def test_inference_load_refuses_a_bad_length(self, teacher_ckpt, scratch, edit):
         raw = teacher_ckpt.read_bytes()
-        # cut inside the data of the first second moment, which the load seeks past
-        bad = raw[:raw.index(b"adam.v.") + 64] if edit == "truncated" else raw + b"\x00"
+        # cut inside the data of the second moment, which the load seeks past
+        bad = raw[:raw.index(b"adam.v") + 64] if edit == "truncated" else raw + b"\x00"
         scratch.write_bytes(bad)
         with pytest.raises(CheckpointError, match=edit):
             load_teacher(scratch)
@@ -405,7 +404,22 @@ class TestCheckpointRejection:
         assert net.kind == "teacher"
 
 
+# every field that RunConfig type-checks from its annotation
+TYPED_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type in ("int", "float")]
+
+
 class TestRunConfig:
+    @pytest.mark.parametrize("name", TYPED_FIELDS)
+    def test_typed_field_refuses_a_string(self, name):
+        with pytest.raises(ValueError, match=f"for {name}$"):
+            RunConfig(**{name: "7"})
+
+    @pytest.mark.parametrize("cfg", [tiny_config(teacher_c_noise=2.0),
+                                     tiny_config(task="toysr", hr_size=8, sr_scale=2)],
+                             ids=["gaussian", "toysr"])
+    def test_net_config_describes_the_teacher_it_builds(self, cfg):
+        assert cfg.net_config() == cfg.build_teacher().config()
+
     def test_rejects_unknown_keys_and_task(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"task": "gaussian", "banana": 1})
@@ -520,7 +534,7 @@ class TestTrainingLoops:
         for name, arr in expected.items():
             assert tensors[name].shape == arr.shape, name
             assert tensors[name].tobytes() == arr.tobytes(), name
-        assert meta["adam_step"] == adam.step_count
+        assert meta["step"] == adam.step_count
 
     def test_distill_produces_student_and_freezes_teacher(self, tmp_path):
         t_path = train_teacher(tiny_config(steps=30), tmp_path / "t")
@@ -553,7 +567,8 @@ class TestTrainingLoops:
                                                     ("teacher_c_noise", 2.0, "1.0")])
     def test_distill_rejects_config_unlike_teacher(self, tmp_path, field, value, held):
         t_path = train_teacher(tiny_config(steps=2), tmp_path / "t")
-        message = re.escape(f"{field}={value}, the teacher has {held}")
+        key = {"teacher_c_noise": "c_noise"}.get(field, field)  # the net's name for it
+        message = re.escape(f"{key}={value}, the teacher has {held}")
         with pytest.raises(CheckpointError, match=message):
             distill_student(tiny_config(steps=2, **{field: value}), t_path, tmp_path / "s")
 
@@ -722,9 +737,98 @@ def test_sr_student_bytes_are_pinned(tmp_path):
                     log_every=5, cfg=CfgConfig(mode="teacher_neg", w=2.0))
     student = distill_student(cfg, train_teacher(cfg, tmp_path / "t"), tmp_path / "s")
     assert hashlib.sha256(student.read_bytes()).hexdigest() == (
-        "28e7ec647f2089013f317c3b4f8ec4981a360fea5e4b2af348acc3fe3dbebabf")
+        "98abeb454454418d6b0db6a94c0231dd6afba24533f897ccb88a7eb1e65b30c7")
     assert describe_checkpoint(student)["params_digest"] == (
         "07345aedd95a834f54dbdb123cb730f5bf062a190187c246e4e6b16893debd92")
+
+
+class TestCheckNet:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("check")
+        t_path = train_teacher(tiny_config(steps=2), out / "t")
+        return load_teacher(t_path), load_student(distill_student(tiny_config(steps=2),
+                                                                  t_path, out / "s"))
+
+    def test_a_teacher_may_differ_in_its_seed_alone(self, trained):
+        check_net(trained[0], tiny_config(seed=9), "t.ckpt")
+        with pytest.raises(CheckpointError, match=re.escape(
+                "t.ckpt: teacher checkpoint does not match the config: the config asks "
+                "for hidden=[16, 16], the teacher has [8]")):
+            check_net(trained[0], tiny_config(hidden=[16, 16]), "t.ckpt")
+
+    def test_every_net_config_key_of_a_teacher_is_compared(self, trained, monkeypatch):
+        # a key both descriptions gain is checked with no other edit
+        asked, held = RunConfig.net_config, trained[0].config
+        monkeypatch.setattr(RunConfig, "net_config",
+                            lambda config: {**asked(config), "dtype": "float32"})
+        monkeypatch.setattr(trained[0], "config", lambda: {**held(), "dtype": "float64"})
+        with pytest.raises(CheckpointError, match="dtype=float32, the teacher has float64"):
+            check_net(trained[0], tiny_config(), "t.ckpt")
+
+    def test_a_student_is_fitted_to_the_dataset_alone(self, trained):
+        # a student only runs forward, so the config's net shape does not bind it
+        check_net(trained[1], tiny_config(hidden=[16, 16], time_dim=4, seed=9), "s.ckpt")
+        with pytest.raises(CheckpointError, match=re.escape(
+                "s.ckpt: student checkpoint does not match the config: the config asks "
+                "for z_dim=3, the student has 2")):
+            check_net(trained[1], tiny_config(gauss_mu=[0.0, 0.0, 0.0]), "s.ckpt")
+
+
+def _earlier_layout(path, dest):
+    """``path`` rewritten as checkpoints were once written: per-weight moments
+    ``adam.m.<name>``/``adam.v.<name>``, and ``role`` and ``adam_step`` beside
+    ``step`` in the metadata."""
+    tensors, meta = load_checkpoint(path)
+    net = _load_net(path)[0]
+    old = {name: tensors[name] for name in net.arrays}
+    for moment in ("adam.m", "adam.v"):
+        old.update({f"{moment}.{name}": a for name, a in net.views(tensors[moment]).items()})
+    save_checkpoint(dest, old, {**meta, "role": net.kind, "adam_step": meta["step"]})
+    return dest
+
+
+class TestCheckpointLayout:
+    """Each fact once: the weights, Adam's two flat moments, and metadata
+    without ``role`` or ``adam_step``; the earlier layout still runs forward."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("layout")
+        cfg = tiny_config(steps=4, ckpt_every=2)
+        (out / "c.json").write_text(json.dumps(cfg.to_dict()))
+        distill_student(cfg, train_teacher(cfg, out / "t"), out / "s")
+        return out
+
+    def test_names_and_metadata_keys(self, run_dir):
+        for path in (run_dir / "t" / "teacher.ckpt", run_dir / "t" / "teacher_step2.ckpt",
+                     run_dir / "s" / "student.ckpt"):
+            tensors, meta = load_checkpoint(path)
+            net = _load_net(path)[0]
+            assert set(tensors) == set(net.arrays) | {"adam.m", "adam.v"}
+            assert tensors["adam.m"].shape == tensors["adam.v"].shape == net.flat.shape
+            assert set(meta) == {"step", "config_digest", "net_config", "config", "rng_state"}
+
+    def test_sample_eval_and_inspect_read_the_earlier_layout(self, run_dir, tmp_path, capsys):
+        new = run_dir / "s" / "student.ckpt"
+        old = _earlier_layout(new, tmp_path / "old.ckpt")
+        for command in (["sample", "--n", "4"], ["eval", "--n", "16", "--steps", "1", "2"]):
+            for ckpt, out in ((new, "new"), (old, "old")):
+                assert run([*command, "--config", str(run_dir / "c.json"), "--ckpt", str(ckpt),
+                            "--out", str(tmp_path / out)]) == 0
+        for name in ("samples.csv", "sweep.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+        capsys.readouterr()
+        assert run(["inspect", str(old)]) == run(["inspect", str(new)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 and printed[0] == printed[1]
+
+    def test_resume_refuses_the_earlier_layout(self, run_dir, tmp_path):
+        old = _earlier_layout(run_dir / "t" / "teacher_step2.ckpt", tmp_path / "old.ckpt")
+        with pytest.raises(CheckpointError, match=re.escape("missing tensor 'adam.m'")):
+            train_teacher(tiny_config(steps=4, ckpt_every=2), tmp_path / "out",
+                          resume=str(old))
+        assert not (tmp_path / "out" / "teacher.ckpt").exists()
 
 
 class TestResumeRefusal:
@@ -741,13 +845,11 @@ class TestResumeRefusal:
                              resume=str(ckpt))
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda tensors, meta: tensors.pop("adam.m.layer0.W"),
-         "missing tensor 'adam.m.layer0.W'"),
-        (lambda tensors, meta: tensors.update(
-            {"adam.v.layer0.b": tensors["adam.v.layer0.b"][:, :3]}),
-         "'adam.v.layer0.b' has shape (1, 8), got (1, 3)"),
-        (lambda tensors, meta: meta.pop("adam_step"), "no valid 'adam_step'"),
-    ], ids=["missing-moment", "misshaped-moment", "missing-adam-step"])
+        (lambda tensors, meta: tensors.pop("adam.m"), "missing tensor 'adam.m'"),
+        (lambda tensors, meta: tensors.update({"adam.v": tensors["adam.v"][:3]}),
+         "'adam.v' has shape (240,), got (3,)"),
+        (lambda tensors, meta: meta.pop("step"), "no valid 'step'"),
+    ], ids=["missing-moment", "misshaped-moment", "missing-step"])
     def test_incomplete_checkpoint(self, half, tmp_path, edit, message):
         tensors, meta = load_checkpoint(half)
         edit(tensors, meta)
