@@ -11,7 +11,7 @@ checkpoint's kind, step, parameter count and digests as one JSON line.
 from __future__ import annotations
 
 import argparse
-import ctypes
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,30 +22,8 @@ from .data import build_sr_pool, write_manifest, write_pgm
 from .oracle import AnalyticFlow, identity_residual_grid, write_residual_csv
 from .sampling import sample_student, sr_restore, steps_sweep, write_sweep_csv
 from .training import (CheckpointError, NumericalAbort, RunConfig, check_net,
-                       describe_checkpoint, distill_student, load_student, train_teacher)
-
-
-try:  # glibc's malloc_trim(0) hands the heap's free pages back to the OS
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):  # a C library without it hands nothing back
-    def _malloc_trim(pad: int) -> int:
-        return 0
-
-try:  # glibc's mallopt(param, value) sets one of its allocator's tunables
-    _mallopt = ctypes.CDLL(None).mallopt
-    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-except (AttributeError, OSError, TypeError):  # a C library without it keeps its own policy
-    def _mallopt(param: int, value: int) -> int:
-        return 0
-
-# mallopt(3) parameter numbers and the values run() pins them to: every array
-# below 8 MiB, which holds any per-step array of the benchmark's workloads (SR's
-# largest are its 5.8 MB parameter-sized vectors), comes from the heap, and the
-# heap shrinks by itself only once 64 MiB at its top are free. A larger array,
-# such as a checkpoint's bytes, is mapped on its own and unmapped when freed.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 8 << 20
+                       describe_checkpoint, distill_student, load_student, pin_heap,
+                       train_teacher)
 
 
 class UsageError(Exception):
@@ -106,7 +84,10 @@ def _resolve_config(args) -> RunConfig:
         raise UsageError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: argparse's objects reference each other,
+    so a parser built per command would wait for the cyclic collector."""
     parser = _Parser(prog="mflow", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name, help_text in [
@@ -231,19 +212,14 @@ def _cmd_eval(args, config: RunConfig, out: Path) -> int:
 def run(argv: list[str]) -> int:
     """Run one command; returns its exit code.
 
-    Free heap pages go back to the OS before and after: a process running many
-    commands would keep tens of MB of free heap, and whether a later large
-    allocation fits in it or adds to the peak memory varies from run to run.
-    Within a command they stay: the allocator's thresholds are pinned, since
-    glibc's default ones adapt to the freed sizes, and with a gauss step's
-    256 KiB arrays each step gave its heap back and faulted it in again
-    (214k minor faults in a fresh gauss ``train-teacher``, 1.6k when pinned).
-    The pinned thresholds stay in force after ``run`` returns, for the rest of
-    the calling process: glibc has no call that restores its adaptive ones.
+    ``pin_heap`` runs before and after, so free heap pages go back to the OS
+    around each command: a process running many commands would keep tens of
+    MB of free heap, and whether a later large allocation fits in it or adds
+    to the peak memory varies from run to run. Within a command they stay, as
+    the heap's thresholds are pinned; they stay pinned after ``run`` returns
+    (see ``pin_heap``).
     """
-    _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    _mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-    _malloc_trim(0)
+    pin_heap()
     parser = build_parser()
     try:
         if not argv:
@@ -290,7 +266,7 @@ def run(argv: list[str]) -> int:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 3
     finally:
-        _malloc_trim(0)
+        pin_heap()
 
 
 def main() -> None:

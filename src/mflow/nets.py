@@ -14,9 +14,9 @@ embeds time at ``c_noise = 1``, so a fresh student equals its teacher's
 weights run at ``c_noise = 1`` for every s: exactly its teacher when the
 teacher's ``c_noise`` is 1 (the default ``teacher_c_noise``), and not otherwise.
 
-A t (or s) given per row is embedded per row. A scalar time shared by the
-whole batch, as in every sampling step, is embedded once as a single row
-that is repeated only where it enters the trunk. Training, which draws
+A t (or s) given per row, as a (B, 1) column, is embedded per row. A scalar
+time shared by the whole batch, as in every sampling step, is embedded once
+as a single row that is repeated only where it enters the trunk. Training, which draws
 per-row times, is bit-identical either way; a shared-time forward may differ
 from the per-row one by a few ulps, since a one-row matmul replaces B
 identical rows.
@@ -34,7 +34,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .tensor import Tensor, concat, gather_rows, repeat_rows, silu, sincos
+from .tensor import ShapeError, Tensor, concat, gather_rows, repeat_rows, silu, sincos
 
 # Highest time frequency, in cycles per unit of ``c_noise * t``.
 MAX_FREQ = 32.0
@@ -227,13 +227,14 @@ def copy_into(views: Mapping[str, np.ndarray], arrays: Mapping[str, np.ndarray])
 def _as_column(t):
     """A time as a (B, 1) column, preserving any tangent.
 
-    A scalar (shape () or (1,)) shared by the whole batch stays one (1, 1)
-    row, so the forward embeds it once.
+    A scalar shared by the whole batch becomes one (1, 1) row, so the forward
+    embeds it once. A 1-d time is refused, as ``flow.interpolate`` refuses
+    one: it is neither a scalar nor a column.
     """
-    if t.shape == () or t.shape == (1,):
+    if t.shape == ():
         return t.reshape(1, 1)
     if len(t.shape) == 1:
-        return t.reshape(t.shape[0], 1)
+        raise ShapeError(f"a time of shape {t.shape} is not a scalar or a (B, 1) column")
     return t
 
 

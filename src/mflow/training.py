@@ -1,8 +1,9 @@
-"""Optimization, checkpointing, and the teacher / distillation training loops."""
+"""Optimization, checkpointing, the heap policy, and the teacher / distillation training loops."""
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from .data import DegradeParams, GaussianDataset, ToySrDataset, build_sr_pool, make_batch
 from .flow import CfgConfig, LossConfig, check_numbers, is_number, mfd_loss, rf_loss
-from .nets import FieldNet, copy_into, init_student_from_teacher
+from .nets import FieldNet, init_student_from_teacher
 from .tensor import Tensor
 
 
@@ -59,9 +60,9 @@ class Adam:
     ``eps_t = eps sqrt(1 - beta2^t)``, so the update is
     ``p -= alpha_t m / (sqrt(v) + eps_t)``: Algorithm 1 in exact arithmetic,
     with two passes fewer. ``step`` updates the parameter vector in place;
-    ``m`` and ``v`` are flat vectors of the same layout, which a checkpoint
-    holds as they are, as ``adam.m`` and ``adam.v``; its step count is the
-    checkpoint's ``step``.
+    ``m`` and ``v`` are flat vectors of the same layout. They live as long as
+    the run: a checkpoint holds the weights alone, since no run continues
+    from one.
     """
 
     def __init__(self, size: int, lr: float = 1e-3):
@@ -127,6 +128,49 @@ def clip_gradients(flat: np.ndarray, grads: Mapping[str, np.ndarray],
     return total, 1.0
 
 
+# -- heap policy ------------------------------------------------------------------
+
+try:  # glibc's mallopt(param, value) sets one of its allocator's tunables
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # a C library without it keeps its own policy
+    def _mallopt(param: int, value: int) -> int:
+        return 0
+
+try:  # glibc's malloc_trim(0) hands the heap's free pages back to the OS
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # a C library without it hands nothing back
+    def _malloc_trim(pad: int) -> int:
+        return 0
+
+# mallopt(3) parameter numbers and the values pin_heap pins them to: every array
+# below 8 MiB, which holds any per-step array of the benchmark's workloads (SR's
+# largest are its 5.8 MB parameter-sized vectors), comes from the heap, and the
+# heap shrinks by itself only once 64 MiB at its top are free. A larger array,
+# such as a checkpoint's bytes, is mapped on its own and unmapped when freed.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 8 << 20
+
+
+def pin_heap() -> None:
+    """Pin glibc's heap thresholds, then hand the heap's free pages back to the OS.
+
+    glibc's default thresholds adapt to the sizes a program frees, and with a
+    gauss step's 256 KiB arrays each training step gave its heap back and
+    faulted it in again (214k minor faults in a fresh gauss ``train-teacher``,
+    1.6k when pinned). ``_run_steps`` and ``cli.run`` call this, so training
+    runs under one heap policy whoever calls it. The policy is the whole
+    process's: the pinned thresholds stay in force after the caller returns,
+    for every later allocation, as glibc has no call that restores its
+    adaptive ones. A C library without ``mallopt`` or ``malloc_trim`` keeps
+    its own policy.
+    """
+    _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    _mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    _malloc_trim(0)
+
+
 # -- checkpoint container --------------------------------------------------------
 
 MAGIC = b"MFLW"
@@ -166,29 +210,23 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         raise
 
 
-def load_checkpoint(path, skip: str | None = None) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint; raises CheckpointError unless the file is well formed.
 
-    The tensors are read-only views of the bytes read from the file; a caller
-    that needs to write copies them (``FieldNet(..., weights=...)`` and resuming
-    already copy into the flat vectors). Tensors whose name starts with
-    ``skip`` are seeked past instead of read and are left out of the result;
-    their lengths are checked like any other, so a truncated file is still
-    refused.
+    Every tensor is read, whatever its name. The tensors are read-only views
+    of the bytes read from the file; a caller that needs to write copies them
+    (``FieldNet(..., weights=...)`` copies into its flat vector).
     """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
-        def take(n: int) -> None:
+        def read(n: int) -> bytes:
             # every length comes from the file, so check it before reading
             nonlocal left
             if n > left:
                 raise CheckpointError(f"{path}: truncated checkpoint "
                                       f"({n} bytes wanted, {left} left)")
             left -= n
-
-        def read(n: int) -> bytes:
-            take(n)
             return fh.read(n)
 
         def unpack(fmt: str) -> tuple:
@@ -218,12 +256,7 @@ def load_checkpoint(path, skip: str | None = None) -> tuple[dict[str, np.ndarray
             if dtype != _DTYPE_F64:
                 raise CheckpointError(f"{path}: unknown dtype code {dtype}")
             shape = unpack(f"<{rank}I")
-            size = 8 * math.prod(shape)
-            if skip is not None and name.startswith(skip):
-                take(size)
-                fh.seek(size, os.SEEK_CUR)
-            else:
-                tensors[name] = np.frombuffer(read(size), dtype="<f8").reshape(shape)
+            tensors[name] = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if left:
             raise CheckpointError(f"{path}: {left} trailing bytes after the last tensor")
     return tensors, meta
@@ -396,45 +429,22 @@ def _lr_at(config: RunConfig, step: int) -> float:
     return config.lr_final + (config.lr - config.lr_final) * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
-class _TrainLog:
-    def __init__(self, path, start: int):
-        """A run resumed at step ``start`` keeps the rows logged before it."""
-        self.path = Path(path)
-        kept = []
-        if start > 0 and self.path.exists():
-            with open(self.path, newline="") as fh:
-                kept = [row for row in list(csv.reader(fh))[1:]
-                        if row and row[0].isdigit() and int(row[0]) < start]
-        self.fh = open(self.path, "w", newline="")
-        self.writer = csv.writer(self.fh)
-        self.writer.writerow(["step", "loss", "grad_norm", "wall_ms"])
-        self.writer.writerows(kept)
-
-    def row(self, step: int, loss: float, grad_norm: float, wall_ms: float) -> None:
-        self.writer.writerow([step, f"{loss:.10g}", f"{grad_norm:.10g}", f"{wall_ms:.3f}"])
-        self.fh.flush()
-
-    def close(self):
-        self.fh.close()
-
-
-def _save_net_checkpoint(path, net: FieldNet, adam: Adam, config: RunConfig,
-                         step: int, rng: np.random.Generator) -> None:
-    tensors = {**net.arrays, "adam.m": adam.m, "adam.v": adam.v}
+def _save_net_checkpoint(path, net: FieldNet, config: RunConfig, step: int) -> None:
+    """The weights, and the metadata that describes them: the steps taken, the
+    net's ``config()``, and the run config with its digest."""
     meta = {"step": step, "config_digest": config.digest(), "net_config": net.config(),
-            "config": config.to_dict(), "rng_state": rng.bit_generator.state}
-    save_checkpoint(path, tensors, meta)
+            "config": config.to_dict()}
+    save_checkpoint(path, net.arrays, meta)
 
 
-def _load_net(path, kind: str | None = None, moments: bool = False
-              ) -> tuple[FieldNet, dict[str, np.ndarray], dict]:
-    """The net of a checkpoint, its tensors and its metadata.
+def _load_net(path, kind: str | None = None) -> tuple[FieldNet, dict]:
+    """The net of a checkpoint and its metadata.
 
-    A ``kind`` ("teacher" or "student") refuses a net of the other kind. The
-    Adam moments (``adam.*``) are read only with ``moments``, as a net that
-    only runs forward does not need them.
+    A ``kind`` ("teacher" or "student") refuses a net of the other kind.
+    Tensors outside the net's layout, such as the Adam moments that earlier
+    checkpoints held, are read and dropped.
     """
-    tensors, meta = load_checkpoint(path, skip=None if moments else "adam.")
+    tensors, meta = load_checkpoint(path)
     config = meta.get("net_config") if isinstance(meta, dict) else None
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: no net config")
@@ -444,7 +454,7 @@ def _load_net(path, kind: str | None = None, moments: bool = False
         raise CheckpointError(f"{path}: {exc}") from exc
     if kind is not None and net.kind != kind:
         raise CheckpointError(f"{path} does not hold a {kind} checkpoint")
-    return net, tensors, meta
+    return net, meta
 
 
 def check_net(net: FieldNet, config: RunConfig, path) -> None:
@@ -465,40 +475,14 @@ def check_net(net: FieldNet, config: RunConfig, path) -> None:
                                   f"the {net.kind} has {held[key]}")
 
 
-def _resume_state(path, config: RunConfig, adam: Adam, tensors: dict[str, np.ndarray],
-                  meta: dict) -> tuple[int, np.random.Generator]:
-    """Restore Adam's moments and step count; returns (next step, training RNG).
-
-    Adam steps once per training step, so its step count is the checkpoint's
-    ``step``.
-
-    Raises CheckpointError when the checkpoint was written under another
-    config than ``config`` or lacks anything needed to continue the run
-    bit-exactly.
-    """
-    if meta.get("config_digest") != config.digest():
-        raise CheckpointError(f"{path}: written under another config than the one "
-                              f"given, so the run cannot continue from it")
-    step = meta.get("step")
-    if not isinstance(step, int) or step < 0:
-        raise CheckpointError(f"{path}: no valid 'step' to resume from")
-    try:
-        copy_into({"adam.m": adam.m, "adam.v": adam.v}, tensors)
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = meta.get("rng_state")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: cannot resume ({exc})") from exc
-    adam.step_count = step
-    return step, rng
-
-
-def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Generator,
-               start: int, out: Path, next_batch, loss_of) -> Path:
-    """Steps ``start`` .. ``config.steps - 1`` of a run; returns the final checkpoint path.
+def _run_steps(config: RunConfig, net: FieldNet, out: Path, next_batch, loss_of) -> Path:
+    """The ``config.steps`` steps of a run; returns the final checkpoint path.
 
     ``next_batch(rng)`` builds one step's batch and ``loss_of(batch)`` its
-    loss. The loop owns the rest: lr schedule, finiteness abort, backward,
-    clipping, Adam, the log and the checkpoint cadence.
+    loss. The loop owns the rest: the training RNG (seeded with
+    ``config.seed``), Adam, lr schedule, finiteness abort, backward,
+    clipping, the log and the checkpoint cadence. It pins the heap first
+    (``pin_heap``), so a run trains at the same speed whoever calls it.
 
     Backward writes each parameter's gradient into its view of one flat
     gradient vector, the vector the clip and Adam read, so a step holds each
@@ -506,14 +490,17 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
     is freed before the next step builds its own. Files are named by the
     net's ``kind``.
     """
+    pin_heap()
     kind = net.kind
-    final = out / f"{kind}.ckpt"
+    adam = Adam(net.flat.size, lr=config.lr)
+    rng = np.random.default_rng(config.seed)
     grad = np.empty_like(net.flat)
     grads = net.views(grad)
     into = {p: grads[name] for name, p in net.params.items()}
-    log = _TrainLog(out / f"{kind}_log.csv", start)
-    try:
-        for step in range(start, config.steps):
+    with open(out / f"{kind}_log.csv", "w", newline="") as fh:
+        log = csv.writer(fh)
+        log.writerow(["step", "loss", "grad_norm", "wall_ms"])
+        for step in range(config.steps):
             t0 = time.perf_counter()
             adam.lr = _lr_at(config, step)
             loss = loss_of(next_batch(rng))
@@ -525,56 +512,48 @@ def _run_steps(config: RunConfig, net: FieldNet, adam: Adam, rng: np.random.Gene
             norm, scale = clip_gradients(grad, grads, config.grad_clip)
             adam.step(net.flat, grad, scale)
             if step % config.log_every == 0 or step == config.steps - 1:
-                log.row(step, value, norm, (time.perf_counter() - t0) * 1e3)
+                wall_ms = (time.perf_counter() - t0) * 1e3
+                log.writerow([step, f"{value:.10g}", f"{norm:.10g}", f"{wall_ms:.3f}"])
+                fh.flush()
             if config.ckpt_every and (step + 1) % config.ckpt_every == 0:
-                _save_net_checkpoint(out / f"{kind}_step{step + 1}.ckpt", net,
-                                     adam, config, step + 1, rng)
-        _save_net_checkpoint(final, net, adam, config, config.steps, rng)
-    finally:
-        log.close()
+                _save_net_checkpoint(out / f"{kind}_step{step + 1}.ckpt", net, config, step + 1)
+    final = out / f"{kind}.ckpt"
+    _save_net_checkpoint(final, net, config, config.steps)
     return final
 
 
-def train_teacher(config: RunConfig, out_dir, resume: str | None = None) -> Path:
+def train_teacher(config: RunConfig, out_dir) -> Path:
     """Rectified-flow teacher training; returns the final checkpoint path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = config.dataset()
-    if resume:
-        teacher, tensors, meta = _load_net(resume, "teacher", moments=True)
-        check_net(teacher, config, resume)
-        adam = Adam(teacher.flat.size, lr=config.lr)
-        start, rng = _resume_state(resume, config, adam, tensors, meta)
-    else:
-        teacher = config.build_teacher()
-        adam = Adam(teacher.flat.size, lr=config.lr)
-        start, rng = 0, np.random.default_rng(config.seed)
+    teacher = config.build_teacher()
     pool = _sr_train_pool(config, dataset)
     return _run_steps(
-        config, teacher, adam, rng, start, out,
+        config, teacher, out,
         lambda rng: make_batch(dataset, config.batch_size, rng, ratio_r=0.0,
                                neg_pair_prob=config.neg_pair_prob, pool=pool),
         lambda batch: rf_loss(teacher, batch))
 
 
 def load_teacher(path) -> FieldNet:
-    """A teacher for inference or distillation; its Adam moments are not read."""
+    """A teacher for inference or distillation."""
     return _load_net(path, "teacher")[0]
 
 
 def load_student(path) -> FieldNet:
-    """A student for inference; its Adam moments are not read."""
+    """A student for inference."""
     return _load_net(path, "student")[0]
 
 
 def describe_checkpoint(path) -> dict:
     """Kind, step, parameter count and digests of a checkpoint.
 
-    ``step`` is also the count of Adam steps taken. ``params_digest`` covers
-    the weights alone, so it does not move with the metadata bytes. Raises
-    CheckpointError for a file that does not load.
+    ``step`` is the number of training steps its weights have taken.
+    ``params_digest`` covers the weights alone, so it does not move with the
+    metadata bytes. Raises CheckpointError for a file that does not load.
     """
-    net, _, meta = _load_net(path)
+    net, meta = _load_net(path)
     return {"kind": net.kind, "step": meta.get("step"), "param_count": net.flat.size,
             "params_digest": params_digest(net.params),
             "config_digest": meta.get("config_digest")}
@@ -596,8 +575,7 @@ def distill_student(config: RunConfig, teacher_ckpt, out_dir) -> Path:
     student = init_student_from_teacher(teacher)
     pool = _sr_train_pool(config, ds)
     final = _run_steps(
-        config, student, Adam(student.flat.size, lr=config.lr),
-        np.random.default_rng(config.seed), 0, out,
+        config, student, out,
         lambda rng: make_batch(ds, config.batch_size, rng, ratio_r=config.loss.ratio_r,
                                pool=pool),
         lambda batch: mfd_loss(student, teacher, batch, config.cfg, config.loss))

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import json
 import os
 import platform
@@ -11,6 +12,7 @@ import pytest
 
 import mflow
 import mflow.cli
+import mflow.training
 from mflow.cli import run
 from mflow.training import (CheckpointError, RunConfig, load_checkpoint, load_teacher,
                             params_digest, save_checkpoint)
@@ -49,7 +51,7 @@ def test_data_module_loads_no_other_mflow_module():
 
 def test_every_command_starts_and_ends_handing_free_heap_back(monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(mflow.cli, "_malloc_trim", calls.append)
+    monkeypatch.setattr(mflow.training, "_malloc_trim", calls.append)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"task": "gaussian", "seed": 2}))
     assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
@@ -61,41 +63,62 @@ def test_every_command_starts_and_ends_handing_free_heap_back(monkeypatch, tmp_p
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
 def test_glibc_trim_is_found():
-    assert mflow.cli._malloc_trim.restype is ctypes.c_int
+    assert mflow.training._malloc_trim.restype is ctypes.c_int
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
 def test_glibc_mallopt_is_found():
-    assert mflow.cli._mallopt.restype is ctypes.c_int
+    assert mflow.training._mallopt.restype is ctypes.c_int
 
 
 def test_every_command_pins_the_allocator_thresholds_first(monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(mflow.cli, "_mallopt", lambda param, value: calls.append((param, value)))
-    monkeypatch.setattr(mflow.cli, "_malloc_trim", lambda pad: calls.append("trim"))
+    monkeypatch.setattr(mflow.training, "_mallopt",
+                        lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(mflow.training, "_malloc_trim", lambda pad: calls.append("trim"))
     assert run([]) == 1
-    assert calls == [(-3, 8 << 20), (-1, 64 << 20), "trim", "trim"]
+    assert calls == [(-3, 8 << 20), (-1, 64 << 20), "trim"] * 2
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
 def test_a_fresh_process_trains_without_refaulting_its_heap(tmp_path):
     # glibc's default thresholds hand each step's freed (256, 128) arrays back to
-    # the OS and fault them in again: about 26k minor faults over these 40 steps
+    # the OS and fault them in again: about 26k minor faults over these 40 steps.
+    # Training pins the heap itself, so the CLI and a library call both escape that.
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"task": "gaussian", "seed": 3, "steps": 40, "batch_size": 256,
                                "hidden": [128, 128], "log_every": 100}))
-    code = ("import resource, sys, mflow.cli; "
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
-            "code = mflow.cli.run(sys.argv[1:]); "
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
     src = str(Path(mflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code, "train-teacher", "--config", str(cfg),
-                          "--out", str(tmp_path / "out")],
-                         env=env, capture_output=True, text=True, check=True, timeout=120)
-    code, faults = map(int, out.stdout.split()[-2:])
-    assert code == 0
-    assert faults < 5000
+    for entry, train in [
+        ("cli", "code = mflow.cli.run(['train-teacher', '--config', cfg, '--out', out])"),
+        ("train_teacher", "mflow.training.train_teacher(mflow.training.RunConfig.from_dict("
+                          "json.loads(open(cfg).read())), out); code = 0"),
+    ]:
+        script = ("import json, resource, sys, mflow.cli; "
+                  "cfg, out = sys.argv[1:]; "
+                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                  f"{train}; "
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        out = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / entry)],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        code, faults = map(int, out.stdout.split()[-2:])
+        assert code == 0, entry
+        assert faults < 5000, (entry, faults)
+
+
+def test_a_command_leaves_no_parser_for_the_cyclic_collector(capsys):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(["sample", "--n", "0"]) == 1
+        gc.collect()
+        left = [type(obj).__name__ for obj in gc.garbage
+                if type(obj).__module__ in ("argparse", "mflow.cli")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 class TestParsingAndErrors:

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import mflow.tensor
 from mflow.nets import FieldNet, init_student_from_teacher, student_forward, teacher_forward
-from mflow.tensor import Tensor, jvp
+from mflow.tensor import ShapeError, Tensor, jvp
 
 
 def small_teacher(**kw):
@@ -137,12 +139,28 @@ class TestFieldNet:
     def test_all_parameters_receive_gradients(self):
         net = small_teacher()
         rng = np.random.default_rng(4)
-        out = teacher_forward(net, rng.normal(size=(4, 3)), rng.random(4),
+        out = teacher_forward(net, rng.normal(size=(4, 3)), rng.random((4, 1)),
                               np.zeros((4, 0)), [0, 1, 0, 1])
         (out * out).sum().backward()
         for name, p in net.params.items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0.0) or name == "cond_table", name
+
+    @pytest.mark.parametrize("tape", [True, False])
+    @pytest.mark.parametrize("kind, t_shape, s_shape", [
+        ("teacher", (4,), None), ("student", (4,), (4, 1)), ("student", (4, 1), (4,))],
+        ids=["teacher-t", "student-t", "student-s"])
+    def test_a_1d_time_is_refused(self, kind, t_shape, s_shape, tape):
+        # numpy would pair a (4,) time with z's columns: only a scalar or a column is taken
+        net = small_teacher()
+        z, z_lr, t = np.zeros((4, 3)), np.zeros((4, 0)), np.full(t_shape, 0.3)
+        with pytest.raises(ShapeError, match=re.escape(
+                "a time of shape (4,) is not a scalar or a (B, 1) column")):
+            if kind == "teacher":
+                teacher_forward(net, z, t, z_lr, 0, tape=tape)
+            else:
+                student = init_student_from_teacher(net)
+                student_forward(student, z, t, np.full(s_shape, 0.8), z_lr, 0, tape=tape)
 
     def test_param_count_consistent(self):
         net = small_teacher()
@@ -246,7 +264,7 @@ class TestSharedTime:
         return student_forward(net, z, t, s, z_lr, labels)
 
     def per_row(self, x):
-        return np.full(self.B, x)
+        return np.full((self.B, 1), x)
 
     def test_output(self, case):
         shared = self.forward(case, 0.3, 0.8).data
@@ -269,7 +287,7 @@ class TestSharedTime:
     def test_tangent_in_t(self, case):
         _, shared = jvp(lambda t: self.forward(case, t, 0.8), (np.array(0.3),), (np.array(1.0),))
         _, rows = jvp(lambda t: self.forward(case, t, self.per_row(0.8)),
-                      (self.per_row(0.3),), (np.ones(self.B),))
+                      (self.per_row(0.3),), (np.ones((self.B, 1)),))
         assert np.any(rows != 0.0)
         np.testing.assert_allclose(shared, rows, **self.TOL)
 
@@ -312,8 +330,8 @@ class TestNoTape:
         if times == "shared":
             t, s = 0.3, 0.8
         else:
-            t = rng.random(self.B)
-            s = t + rng.random(self.B) * (1.0 - t)
+            t = rng.random((self.B, 1))
+            s = t + rng.random((self.B, 1)) * (1.0 - t)
         taped = self.forward(case, t, s)
         assert taped._parents
         out = self.forward(case, t, s, tape=False)

@@ -49,8 +49,8 @@ def test_digests_list_every_file_but_the_logs_sorted_by_path(tmp_path):
 GAUSS_12345 = {
     "teacher.ckpt:params": "41c4e6562bc564fc3b4cfab529354c678a42fec9066128d49a4217dd0f065fb2",
     "student.ckpt:params": "311ada31fb3cf66f2722e704aa811bb688faef75af991088adbc406e99ae8db7",
-    "teacher.ckpt": "f9a2c901c810de4ee8431db35e50530629dbedd905472028a6f4423e51c2673e",
-    "student.ckpt": "65dc5f412a1b47f4134b06a42dac67af9e2fb4ab8faaaef121f06ce34ab7213c",
+    "teacher.ckpt": "6657f4e668ca9cb4a215a823ecbe453da499ae80bdff125943aae60e811c3b87",
+    "student.ckpt": "be12d468facff9db712f9ed29bfbcbb12dc209c40b0381dc73bcdf23074be6b5",
     "sweep.csv": "1728d347b22387c0438234564a8cfa5e281dee9348f79182deb12a12896f1ff5",
     "samples.csv": "e3d5804f431acc4770fb6742946ee5a00bd6f78d988f61fa7be81b5132f4b838",
     "verify/residual_grid.csv": "be784026082bdbe5eccf322fe2d8dd07ee3a4290d150e6e23ddd66c51b9d290a",

@@ -86,12 +86,6 @@ class ReferenceAdam:
             out[name] = Tensor(p.data - a, requires_grad=True)
         return out
 
-    def state_arrays(self):
-        """The moments as a checkpoint holds them: each laid end to end in
-        parameter order."""
-        return {"adam.m": np.concatenate([m.ravel() for m in self.m.values()]),
-                "adam.v": np.concatenate([v.ravel() for v in self.v.values()])}
-
 
 def reference_clip(grads, max_norm):
     """Dict-based clip, kept as the reference: the norm is one dot product over
@@ -283,9 +277,8 @@ class TestCheckpointContainer:
 
     def test_loaded_net_owns_writable_weights(self, tmp_path):
         path = train_teacher(tiny_config(steps=2), tmp_path)
-        net, tensors, _ = _load_net(path, moments=True)
-        assert net.flat.flags.writeable
-        assert not any(np.shares_memory(net.flat, arr) for arr in tensors.values())
+        net = load_teacher(path)
+        assert net.flat.flags.writeable and net.flat.flags.owndata
         net.set_parameter("layer0.b", Tensor(np.ones(net.params["layer0.b"].shape)))
 
     def test_rejects_bad_magic(self, tmp_path):
@@ -372,23 +365,6 @@ class TestCheckpointRejection:
         scratch.write_bytes(teacher_ckpt.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(scratch)
-
-    def test_inference_load_skips_the_moments(self, teacher_ckpt):
-        tensors, _ = load_checkpoint(teacher_ckpt)
-        weights, _ = load_checkpoint(teacher_ckpt, skip="adam.")
-        assert set(weights) == {name for name in tensors if not name.startswith("adam.")}
-        assert len(weights) < len(tensors)
-        np.testing.assert_array_equal(load_teacher(teacher_ckpt).flat,
-                                      _load_net(teacher_ckpt, moments=True)[0].flat)
-
-    @pytest.mark.parametrize("edit", ["truncated", "trailing"])
-    def test_inference_load_refuses_a_bad_length(self, teacher_ckpt, scratch, edit):
-        raw = teacher_ckpt.read_bytes()
-        # cut inside the data of the second moment, which the load seeks past
-        bad = raw[:raw.index(b"adam.v") + 64] if edit == "truncated" else raw + b"\x00"
-        scratch.write_bytes(bad)
-        with pytest.raises(CheckpointError, match=edit):
-            load_teacher(scratch)
 
     @settings(max_examples=60, deadline=None)
     @given(frac=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
@@ -482,29 +458,6 @@ class TestTrainingLoops:
         p2 = train_teacher(cfg, tmp_path / "b")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_resume_matches_straight_run(self, tmp_path):
-        cfg = tiny_config(steps=20, ckpt_every=10)
-        straight = train_teacher(cfg, tmp_path / "full")
-        train_teacher(cfg, tmp_path / "half")
-        resumed = train_teacher(cfg, tmp_path / "resumed",
-                                resume=str(tmp_path / "half" / "teacher_step10.ckpt"))
-        t1 = load_teacher(straight)
-        t2 = load_teacher(resumed)
-        assert params_digest(t1.params) == params_digest(t2.params)
-
-    def test_resume_keeps_earlier_log_rows(self, tmp_path):
-        cfg = tiny_config(steps=6, log_every=1, ckpt_every=3)
-        train_teacher(cfg, tmp_path / "full")
-        train_teacher(cfg, tmp_path / "run")
-        train_teacher(cfg, tmp_path / "run", resume=str(tmp_path / "run" / "teacher_step3.ckpt"))
-
-        def column(run, i):
-            rows = (tmp_path / run / "teacher_log.csv").read_text().splitlines()[1:]
-            return [row.split(",")[i] for row in rows]
-
-        assert column("run", 0) == column("full", 0) == [str(step) for step in range(6)]
-        assert column("run", 1) == column("full", 1)
-
     def test_checkpoint_matches_reference_loop(self, tmp_path):
         # the dict-based loop the flat one replaced: per-name grads, reference
         # clip and Adam, every weight replaced after the step
@@ -528,7 +481,6 @@ class TestTrainingLoops:
                 net.set_parameter(name, p)
         assert any(clipped) and not all(clipped)
         expected = {name: p.data for name, p in net.params.items()}
-        expected.update(adam.state_arrays())
         tensors, meta = load_checkpoint(path)
         assert sorted(tensors) == sorted(expected)
         for name, arr in expected.items():
@@ -737,7 +689,7 @@ def test_sr_student_bytes_are_pinned(tmp_path):
                     log_every=5, cfg=CfgConfig(mode="teacher_neg", w=2.0))
     student = distill_student(cfg, train_teacher(cfg, tmp_path / "t"), tmp_path / "s")
     assert hashlib.sha256(student.read_bytes()).hexdigest() == (
-        "98abeb454454418d6b0db6a94c0231dd6afba24533f897ccb88a7eb1e65b30c7")
+        "cee4ab391a73c449d1f26adb5fc9dc033d0f6ed29414339f70f66511222f3068")
     assert describe_checkpoint(student)["params_digest"] == (
         "07345aedd95a834f54dbdb123cb730f5bf062a190187c246e4e6b16893debd92")
 
@@ -775,22 +727,31 @@ class TestCheckNet:
             check_net(trained[1], tiny_config(gauss_mu=[0.0, 0.0, 0.0]), "s.ckpt")
 
 
-def _earlier_layout(path, dest):
-    """``path`` rewritten as checkpoints were once written: per-weight moments
-    ``adam.m.<name>``/``adam.v.<name>``, and ``role`` and ``adam_step`` beside
-    ``step`` in the metadata."""
+def _earlier_layout(path, dest, layout):
+    """``path``, a checkpoint of the current layout, rewritten as checkpoints were
+    once written, with Adam moments of the net's size beside the weights and
+    the training RNG's ``rng_state`` in the metadata: two flat vectors
+    ``adam.m``/``adam.v``, or per-weight ``adam.m.<name>``/``adam.v.<name>``
+    moments with ``role`` and ``adam_step`` beside ``step``."""
     tensors, meta = load_checkpoint(path)
     net = _load_net(path)[0]
-    old = {name: tensors[name] for name in net.arrays}
-    for moment in ("adam.m", "adam.v"):
-        old.update({f"{moment}.{name}": a for name, a in net.views(tensors[moment]).items()})
-    save_checkpoint(dest, old, {**meta, "role": net.kind, "adam_step": meta["step"]})
+    rng = np.random.default_rng(5)
+    moments = {"adam.m": rng.normal(size=net.flat.shape), "adam.v": rng.random(net.flat.shape)}
+    meta = {**meta, "rng_state": np.random.default_rng(meta["step"]).bit_generator.state}
+    if layout == "flat-moments":
+        tensors = {**tensors, **moments}
+    else:
+        tensors = dict(tensors)
+        for moment, flat in moments.items():
+            tensors.update({f"{moment}.{name}": a for name, a in net.views(flat).items()})
+        meta.update(role=net.kind, adam_step=meta["step"])
+    save_checkpoint(dest, tensors, meta)
     return dest
 
 
 class TestCheckpointLayout:
-    """Each fact once: the weights, Adam's two flat moments, and metadata
-    without ``role`` or ``adam_step``; the earlier layout still runs forward."""
+    """A checkpoint holds the weights and the metadata that describes them;
+    the earlier layouts, which also held Adam's moments, still run forward."""
 
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
@@ -805,75 +766,29 @@ class TestCheckpointLayout:
                      run_dir / "s" / "student.ckpt"):
             tensors, meta = load_checkpoint(path)
             net = _load_net(path)[0]
-            assert set(tensors) == set(net.arrays) | {"adam.m", "adam.v"}
-            assert tensors["adam.m"].shape == tensors["adam.v"].shape == net.flat.shape
-            assert set(meta) == {"step", "config_digest", "net_config", "config", "rng_state"}
+            assert set(tensors) == set(net.arrays)
+            assert set(meta) == {"step", "config_digest", "net_config", "config"}
 
     def test_sample_eval_and_inspect_read_the_earlier_layout(self, run_dir, tmp_path, capsys):
         new = run_dir / "s" / "student.ckpt"
-        old = _earlier_layout(new, tmp_path / "old.ckpt")
-        for command in (["sample", "--n", "4"], ["eval", "--n", "16", "--steps", "1", "2"]):
-            for ckpt, out in ((new, "new"), (old, "old")):
-                assert run([*command, "--config", str(run_dir / "c.json"), "--ckpt", str(ckpt),
-                            "--out", str(tmp_path / out)]) == 0
-        for name in ("samples.csv", "sweep.csv"):
-            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
-        capsys.readouterr()
-        assert run(["inspect", str(old)]) == run(["inspect", str(new)]) == 0
-        printed = capsys.readouterr().out.splitlines()
-        assert len(printed) == 2 and printed[0] == printed[1]
+        for layout in ("flat-moments", "per-weight-moments"):
+            old = _earlier_layout(new, tmp_path / f"{layout}.ckpt", layout)
+            assert old.stat().st_size > 2 * new.stat().st_size
+            for command in (["sample", "--n", "4"], ["eval", "--n", "16", "--steps", "1", "2"]):
+                for ckpt, out in ((new, "new"), (old, layout)):
+                    assert run([*command, "--config", str(run_dir / "c.json"), "--ckpt",
+                                str(ckpt), "--out", str(tmp_path / out)]) == 0
+            for name in ("samples.csv", "sweep.csv"):
+                assert ((tmp_path / layout / name).read_bytes()
+                        == (tmp_path / "new" / name).read_bytes()), (layout, name)
+            capsys.readouterr()
+            assert run(["inspect", str(old)]) == run(["inspect", str(new)]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert len(printed) == 2 and printed[0] == printed[1], layout
 
-    def test_resume_refuses_the_earlier_layout(self, run_dir, tmp_path):
-        old = _earlier_layout(run_dir / "t" / "teacher_step2.ckpt", tmp_path / "old.ckpt")
-        with pytest.raises(CheckpointError, match=re.escape("missing tensor 'adam.m'")):
-            train_teacher(tiny_config(steps=4, ckpt_every=2), tmp_path / "out",
-                          resume=str(old))
-        assert not (tmp_path / "out" / "teacher.ckpt").exists()
-
-
-class TestResumeRefusal:
-    """A teacher resume that cannot continue the run bit-exactly is refused."""
-
-    @pytest.fixture(scope="class")
-    def half(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("half")
-        train_teacher(tiny_config(steps=4, ckpt_every=2), out)
-        return out / "teacher_step2.ckpt"
-
-    def resume(self, ckpt, out, **kw):
-        return train_teacher(tiny_config(**{"steps": 4, "ckpt_every": 2, **kw}), out,
-                             resume=str(ckpt))
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda tensors, meta: tensors.pop("adam.m"), "missing tensor 'adam.m'"),
-        (lambda tensors, meta: tensors.update({"adam.v": tensors["adam.v"][:3]}),
-         "'adam.v' has shape (240,), got (3,)"),
-        (lambda tensors, meta: meta.pop("step"), "no valid 'step'"),
-    ], ids=["missing-moment", "misshaped-moment", "missing-step"])
-    def test_incomplete_checkpoint(self, half, tmp_path, edit, message):
-        tensors, meta = load_checkpoint(half)
-        edit(tensors, meta)
-        save_checkpoint(tmp_path / "c.ckpt", tensors, meta)
-        with pytest.raises(CheckpointError, match=re.escape(message)):
-            self.resume(tmp_path / "c.ckpt", tmp_path / "out")
-        assert not (tmp_path / "out" / "teacher.ckpt").exists()
-
-    def test_student_checkpoint(self, half, tmp_path):
-        s_path = distill_student(tiny_config(steps=2), half, tmp_path / "s")
-        with pytest.raises(CheckpointError, match="does not hold a teacher checkpoint"):
-            self.resume(s_path, tmp_path / "out")
-        assert not (tmp_path / "out" / "teacher.ckpt").exists()
-
-    @pytest.mark.parametrize("change", [{"steps": 2}, {"batch_size": 4, "lr": 2e-3, "seed": 5}],
-                             ids=["fewer-steps", "other-batch-lr-seed"])
-    def test_config_other_than_the_checkpoints(self, half, tmp_path, change):
-        # the net fits either config, but the run it continues is not the one saved
-        with pytest.raises(CheckpointError, match="another config"):
-            self.resume(half, tmp_path / "out", **change)
-        assert not (tmp_path / "out" / "teacher.ckpt").exists()
-
-    def test_config_unlike_checkpoint(self, half, tmp_path):
-        with pytest.raises(CheckpointError,
-                           match=re.escape("hidden=[16, 16], the teacher has [8]")):
-            self.resume(half, tmp_path / "out", hidden=[16, 16])
-        assert not (tmp_path / "out" / "teacher.ckpt").exists()
+    def test_distill_reads_an_earlier_layout_teacher(self, run_dir, tmp_path):
+        cfg = tiny_config(steps=4, ckpt_every=2)
+        new = run_dir / "t" / "teacher.ckpt"
+        old = _earlier_layout(new, tmp_path / "old.ckpt", "flat-moments")
+        assert (distill_student(cfg, old, tmp_path / "s").read_bytes()
+                == (run_dir / "s" / "student.ckpt").read_bytes())
